@@ -1,8 +1,8 @@
 """Command-line surface: every operation scriptable, nothing random.
 
 Exit status: 0 = verified/true, 1 = refuted/false, 2 = inconclusive
-(budget ran out), 3 = input error. Reports are "key value" lines, or one
-flat JSON object with --json.
+(budget ran out), 3 = input error, 4 = unexpected internal error. Reports
+are "key value" lines, or one flat JSON object with --json.
 """
 
 from __future__ import annotations
@@ -347,6 +347,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # Any other failure is a fault of the program, never a verdict: exit 1
+        # would read as "refuted".
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
 
 from .errors import FileFormatError, InputError
 from .graphs import Graph, is_bipartite, iter_bits
@@ -65,10 +64,15 @@ def is_b_dominating(g: Graph, c: Coloring, v: int) -> bool:
     """True iff every color 1..k appears on the closed neighborhood of v."""
     _require_total(g, c)
     g.check_vertex(v)
+    return _closed_colors(g, c, v) == (1 << c.k) - 1
+
+
+def _closed_colors(g: Graph, c: Coloring, v: int) -> int:
+    """Bit mask of the colors present on the closed neighborhood of v."""
     seen = 1 << (c.colors[v] - 1)
     for u in iter_bits(g.adj[v]):
         seen |= 1 << (c.colors[u] - 1)
-    return seen == (1 << c.k) - 1
+    return seen
 
 
 def is_colorful(g: Graph, c: Coloring) -> tuple[bool, dict[int, int] | None]:
@@ -86,14 +90,7 @@ def is_colorful(g: Graph, c: Coloring) -> tuple[bool, dict[int, int] | None]:
     for i, mask in enumerate(_class_masks(g, c), start=1):
         if mask == 0:
             return False, None
-        found = None
-        for v in iter_bits(mask):
-            seen = 1 << (c.colors[v] - 1)
-            for u in iter_bits(g.adj[v]):
-                seen |= 1 << (c.colors[u] - 1)
-            if seen == full:
-                found = v
-                break
+        found = next((v for v in iter_bits(mask) if _closed_colors(g, c, v) == full), None)
         if found is None:
             return False, None
         witnesses[i] = found
@@ -324,45 +321,45 @@ def find_colorful_coloring(g: Graph, k: int, budget: Budget | None = None) -> Se
     if len(candidates) < k:
         return SearchResult(SearchStatus.NOT_EXISTS)
     try:
-        for doms in combinations(candidates, k):
-            clock.tick()
-            coloring = _extend_with_dominators(g, k, doms, clock)
-            if coloring is not None:
-                ok, _ = is_colorful(g, coloring)
-                assert ok, "search returned a non-colorful coloring"
-                return SearchResult(SearchStatus.FOUND, coloring, clock.nodes)
+        coloring = _search_dominator_tuples(g, k, candidates, clock)
     except _OutOfBudget:
         return SearchResult(SearchStatus.BUDGET_EXCEEDED, None, clock.nodes)
-    return SearchResult(SearchStatus.NOT_EXISTS, None, clock.nodes)
+    if coloring is None:
+        return SearchResult(SearchStatus.NOT_EXISTS, None, clock.nodes)
+    ok, _ = is_colorful(g, coloring)
+    assert ok, "search returned a non-colorful coloring"
+    return SearchResult(SearchStatus.FOUND, coloring, clock.nodes)
 
 
-def _extend_with_dominators(g: Graph, k: int, doms, clock) -> Coloring | None:
-    """Proper k-coloring where doms[j] has color j+1 and is b-dominating, or None."""
+def _search_dominator_tuples(g: Graph, k: int, candidates, clock) -> Coloring | None:
+    """Colorful k-coloring whose dominator tuple is drawn from candidates, or None.
+
+    The ascending k-tuples of candidates are walked as a prefix tree, in
+    the order of itertools.combinations: position j of the tuple is placed
+    (color j+1) once when the walk chooses it and undone when the walk moves
+    on. Each full tuple costs one clock tick and then one extension search
+    for a proper coloring in which every dominator is b-dominating.
+    """
     n = g.n
-    adj = g.adj
     full = (1 << k) - 1
+    nbrs = [tuple(iter_bits(row)) for row in g.adj]
     color = [0] * n
     nbr = [0] * n  # colors present in the open neighborhood
-    dmask = [0] * n  # bit j set when v lies in N[doms[j]]
+    dpos = [[] for _ in range(n)]  # positions j, ascending, with v in N[doms[j]]
     seen = [0] * k  # colors present in N[doms[j]]
     free = [0] * k  # uncolored vertices remaining in N[doms[j]]
-    for j, y in enumerate(doms):
-        closed = adj[y] | (1 << y)
-        free[j] = closed.bit_count()
-        for v in iter_bits(closed):
-            dmask[v] |= 1 << j
 
     def assign(v, bit):
         """Apply the assignment; returns (undo record, still feasible)."""
         color[v] = bit.bit_length()
         touched = []
-        for u in iter_bits(adj[v]):
-            if color[u] == 0 and not nbr[u] & bit:
+        for u in nbrs[v]:
+            if not color[u] and not nbr[u] & bit:
                 nbr[u] |= bit
                 touched.append(u)
         dom_hits = []
         feasible = True
-        for j in iter_bits(dmask[v]):
+        for j in dpos[v]:
             added = not seen[j] & bit
             seen[j] |= bit
             free[j] -= 1
@@ -381,19 +378,6 @@ def _extend_with_dominators(g: Graph, k: int, doms, clock) -> Coloring | None:
             free[j] += 1
         color[v] = 0
 
-    # Place the designated dominators; their colors are pairwise distinct so
-    # properness cannot fail here, only domination feasibility can.
-    feasible = True
-    placed = []
-    for j, y in enumerate(doms):
-        record, ok = assign(y, 1 << j)
-        placed.append(record)
-        feasible = feasible and ok
-    if not feasible:
-        for record in reversed(placed):
-            undo(record)
-        return None
-
     def dfs(remaining):
         if remaining == 0:
             return True
@@ -405,14 +389,14 @@ def _extend_with_dominators(g: Graph, k: int, doms, clock) -> Coloring | None:
             if color[u]:
                 continue
             allowed = full & ~nbr[u]
-            dm = dmask[u]
-            for j in iter_bits(dm):
+            doms = dpos[u]
+            for j in doms:
                 missing = full & ~seen[j]
                 if missing.bit_count() == free[j]:
                     allowed &= missing
             if allowed == 0:
                 return False
-            key = (allowed.bit_count(), -dm.bit_count(), u)
+            key = (allowed.bit_count(), -len(doms), u)
             if v_key is None or key < v_key:
                 v, v_allowed, v_key = u, allowed, key
         while v_allowed:
@@ -425,10 +409,38 @@ def _extend_with_dominators(g: Graph, k: int, doms, clock) -> Coloring | None:
             undo(record)
         return False
 
-    if dfs(n - k):
+    def place(j, start):
+        """Try every dominator for positions j.. drawn from candidates[start:]."""
+        if j == k:
+            clock.tick()
+            return dfs(n - k)
+        bit = 1 << j
+        for i in range(start, len(candidates) - k + j + 1):
+            y = candidates[i]
+            closed = (y, *nbrs[y])
+            seen[j] = free[j] = 0
+            for v in closed:
+                dpos[v].append(j)
+                if color[v]:
+                    seen[j] |= 1 << (color[v] - 1)
+                else:
+                    free[j] += 1
+            # Placement cannot fail, so its feasibility flag is ignored. The
+            # dominators' colors are pairwise distinct: a dominator placed in
+            # the closed neighborhood of any dominator lowers that
+            # neighborhood's free count and its number of missing colors by
+            # one each, and the slack |N[y]| - k >= 0 of a candidate y never
+            # changes.
+            record, _ = assign(y, bit)
+            if place(j + 1, i + 1):
+                return True
+            undo(record)
+            for v in closed:
+                dpos[v].pop()
+        return False
+
+    if place(0, 0):
         return Coloring(k, tuple(color))
-    for record in reversed(placed):
-        undo(record)
     return None
 
 

@@ -14,6 +14,11 @@ from .errors import FileFormatError, InputError
 
 INFINITE_GIRTH = math.inf
 
+# Largest vertex count accepted from a .col header or a Kneser parameter
+# pair, checked before anything of that size is allocated. KG(15,7), with
+# 6,435 vertices, is the largest graph the command line is used on.
+MAX_VERTICES = 10_000
+
 
 def iter_bits(mask):
     """Yield the set bit positions of mask, ascending."""
@@ -243,6 +248,10 @@ def read_col(path) -> Graph:
                     raise FileFormatError(path, lineno, "non-integer problem parameters")
                 if n < 0 or declared < 0:
                     raise FileFormatError(path, lineno, "negative problem parameters")
+                if n > MAX_VERTICES:
+                    raise FileFormatError(
+                        path, lineno, f"{n} vertices exceed the limit of {MAX_VERTICES}"
+                    )
             elif parts[0] == "e":
                 if n is None:
                     raise FileFormatError(path, lineno, "edge line before problem line")

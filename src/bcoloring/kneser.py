@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import InputError
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph
 
 
 def _check_params(n, m):
@@ -87,6 +87,8 @@ class KneserGraph:
     def __init__(self, n: int, m: int):
         _check_params(n, m)
         count = math.comb(n, m)
+        if count > MAX_VERTICES:
+            raise InputError(f"KG({n},{m}) has {count} vertices, over the limit of {MAX_VERTICES}")
         subsets = tuple(unrank_subset(n, m, i) for i in range(count))
         masks = [0] * count
         for i, members in enumerate(subsets):

@@ -1,5 +1,6 @@
 import json
 
+from bcoloring import cli
 from bcoloring.cli import main
 from bcoloring.coloring import Coloring, is_colorful, read_coloring, write_coloring
 from bcoloring.fixtures import q3
@@ -163,6 +164,27 @@ def test_malformed_file_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "graph", "girth", "-g", str(bad))
     assert code == 3
     assert "bad.col:2" in err
+
+
+def test_oversized_inputs_exit_code(tmp_path, capsys):
+    huge = tmp_path / "huge.col"
+    huge.write_text("p edge 100000000 0\n")
+    code, _, err = run(capsys, "graph", "girth", "-g", str(huge))
+    assert code == 3 and "limit" in err
+    code, _, err = run(capsys, "kneser", "gen", "-n", "30", "-m", "15", "-o", str(tmp_path / "kg.col"))
+    assert code == 3 and "limit" in err
+
+
+def test_unexpected_error_exit_code(tmp_path, capsys, monkeypatch):
+    # Exit 1 means "refuted", so a crash of the search must not end with it.
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "b_spectrum", crash)
+    write_col(q3(), tmp_path / "q3.col")
+    code, out, err = run(capsys, "color", "bspectrum", "-g", str(tmp_path / "q3.col"))
+    assert code == 4 and out == ""
+    assert err == "error: internal RecursionError: maximum recursion depth exceeded\n"
 
 
 def test_json_reports_are_flat_and_parse(tmp_path, capsys):

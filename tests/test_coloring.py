@@ -176,6 +176,29 @@ def test_budget_exhaustion_is_inconclusive_not_refuted():
     assert find_colorful_coloring(heawood(), 4).status is SearchStatus.FOUND
 
 
+@pytest.mark.parametrize(
+    "make_graph, k, budget, status, nodes",
+    [
+        (lambda: kneser_graph(6, 2).graph, 7, None, SearchStatus.NOT_EXISTS, 6_435),
+        (petersen, 4, None, SearchStatus.NOT_EXISTS, 310),
+        (q3, 3, None, SearchStatus.NOT_EXISTS, 152),
+        (lambda: kneser_graph(8, 3).graph, 5, None, SearchStatus.FOUND, 3_191),
+        (
+            lambda: kneser_graph(7, 2).graph,
+            11,
+            Budget(max_nodes=20_000),
+            SearchStatus.BUDGET_EXCEEDED,
+            20_001,
+        ),
+    ],
+)
+def test_search_node_counts_are_pinned(make_graph, k, budget, status, nodes):
+    # A node is one dominator tuple reached plus one extension assignment;
+    # these counts change only if the search order or the node definition does.
+    result = find_colorful_coloring(make_graph(), k, budget)
+    assert (result.status, result.nodes) == (status, nodes)
+
+
 def test_search_is_deterministic():
     first = find_colorful_coloring(q3(), 4)
     second = find_colorful_coloring(q3(), 4)

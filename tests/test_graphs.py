@@ -167,6 +167,7 @@ def test_col_round_trip_with_labels(tmp_path):
         ("p edge 2 2\ne 1 2\n", "declared 2 edges"),
         ("p edge x 1\ne 1 2\n", "non-integer"),
         ("q edge 2 1\n", "unknown line type"),
+        ("p edge 100000000 0\n", "exceed the limit"),
     ],
 )
 def test_col_malformed_files(tmp_path, body, fragment):

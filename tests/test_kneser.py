@@ -5,6 +5,7 @@ import pytest
 
 from bcoloring.coloring import chromatic_number
 from bcoloring.errors import InputError
+from bcoloring.graphs import MAX_VERTICES
 from bcoloring.kneser import (
     format_subset,
     kneser_graph,
@@ -112,6 +113,13 @@ def test_constructor_rejects_bad_parameters():
         kneser_graph(3, 4)
     with pytest.raises(InputError):
         kneser_graph(3, 0)
+
+
+def test_constructor_rejects_graphs_over_the_vertex_limit():
+    # C(30,15) is about 1.55e8: the check must come before any subset is unranked.
+    assert math.comb(15, 7) <= MAX_VERTICES < math.comb(30, 15)
+    with pytest.raises(InputError, match="limit"):
+        kneser_graph(30, 15)
 
 
 def test_lovasz_formula_values():

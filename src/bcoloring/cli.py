@@ -23,8 +23,17 @@ from .coloring import (
     write_coloring,
 )
 from .errors import FileFormatError, InputError
-from .graphs import INFINITE_GIRTH, girth, is_bipartite, read_col, regularity, write_col
+from .graphs import (
+    INFINITE_GIRTH,
+    _read_fields,
+    girth,
+    is_bipartite,
+    read_col,
+    regularity,
+    write_col,
+)
 from .homomorphism import (
+    _map_graph_paths,
     compose,
     is_homomorphism,
     is_semi_locally_surjective,
@@ -135,21 +144,6 @@ def _cmd_color_bspectrum(args):
 # ---------------------------------------------------------------------------
 # hom
 
-def _map_graph_paths(path):
-    """The graph files a map file references, resolved against its directory."""
-    base = os.path.dirname(os.path.abspath(path))
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c "):
-                continue
-            parts = line.split()
-            if len(parts) != 3 or parts[0] != "map":
-                raise FileFormatError(path, lineno, "expected header 'map <source> <target>'")
-            return os.path.join(base, parts[1]), os.path.join(base, parts[2])
-    raise FileFormatError(path, 1, "missing header 'map <source> <target>'")
-
-
 def _cmd_hom_verify(args):
     f = read_map(args.map)
     hom = is_homomorphism(f)
@@ -183,8 +177,8 @@ def _cmd_hom_compose(args):
     f = read_map(args.first)
     g = read_map(args.second)
     composite = compose(f, g)
-    source_path, _ = _map_graph_paths(args.first)
-    _, target_path = _map_graph_paths(args.second)
+    source_path, _ = _map_graph_paths(args.first, _read_fields(args.first))
+    _, target_path = _map_graph_paths(args.second, _read_fields(args.second))
     write_map(composite, args.output, source_path, target_path)
     _emit([("map", args.output)], args.json)
     return 0

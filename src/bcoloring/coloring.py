@@ -1,8 +1,10 @@
 """Proper and colorful (b-)coloring verification plus the exact searches.
 
-Verification functions are pure reads. The two searches are exhaustive
-backtrackers: chromatic_number has no budget (instances stay at desk
-scale), find_colorful_coloring takes a node/wall-clock budget so that a
+Verification functions are pure reads. chromatic_number, its DSATUR upper
+bound included, and find_colorful_coloring run one exhaustive backtracker,
+_backtrack, which keeps its decisions on an explicit stack instead of
+recursing. chromatic_number has no budget (instances stay at desk scale);
+find_colorful_coloring takes a node/wall-clock budget so that a
 NOT_EXISTS answer always means a completed search.
 """
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import FileFormatError, InputError
-from .graphs import Graph, is_bipartite, iter_bits
+from .graphs import Graph, _read_fields, _resolve_vertex, is_bipartite, iter_bits
 
 
 @dataclass(frozen=True)
@@ -110,152 +112,7 @@ def m_degree_bound(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact chromatic number
-
-def greedy_clique(g: Graph) -> list[int]:
-    """Deterministic greedy clique, used only as a lower bound / seed."""
-    best: list[int] = []
-    for seed in range(g.n):
-        clique = [seed]
-        cand = g.adj[seed]
-        while cand:
-            pick = -1
-            pick_deg = -1
-            for v in iter_bits(cand):
-                d = (g.adj[v] & cand).bit_count()
-                if d > pick_deg:
-                    pick, pick_deg = v, d
-            clique.append(pick)
-            cand &= g.adj[pick]
-        if len(clique) > len(best):
-            best = clique
-    return sorted(best)
-
-
-def _dsatur_greedy(g: Graph) -> Coloring:
-    """Greedy upper-bound coloring with saturation-degree vertex selection."""
-    n = g.n
-    if n == 0:
-        return Coloring(0, ())
-    color = [0] * n
-    nbr = [0] * n
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if color[u] == 0),
-            key=lambda u: (nbr[u].bit_count(), g.adj[u].bit_count(), -u),
-        )
-        c = 0
-        while (nbr[v] >> c) & 1:
-            c += 1
-        color[v] = c + 1
-        bit = 1 << c
-        for u in iter_bits(g.adj[v]):
-            nbr[u] |= bit
-    return Coloring(max(color), tuple(color))
-
-
-def _k_colorable(g: Graph, k: int) -> Coloring | None:
-    """Complete decision search: a proper k-coloring or None.
-
-    Pre-colors a greedy clique, breaks color symmetry via the classic cap
-    rule (a vertex may only introduce one fresh color), and picks the
-    most saturated vertex at each node.
-    """
-    n = g.n
-    if n == 0:
-        return Coloring(k, ())
-    if k <= 0:
-        return None
-    if k >= n:
-        return Coloring(k, tuple(range(1, n + 1)))
-    if k == 1:
-        return Coloring(1, (1,) * n) if g.edge_count() == 0 else None
-    if k == 2:
-        ok, side = is_bipartite(g)
-        return Coloring(2, tuple(s + 1 for s in side)) if ok else None
-
-    clique = greedy_clique(g)
-    if len(clique) > k:
-        return None
-    color = [0] * n
-    nbr = [0] * n
-    for i, v in enumerate(clique):
-        color[v] = i + 1
-        bit = 1 << i
-        for u in iter_bits(g.adj[v]):
-            nbr[u] |= bit
-    adj = g.adj
-    degs = [row.bit_count() for row in adj]
-
-    def dfs(remaining, max_used):
-        if remaining == 0:
-            return True
-        v = -1
-        v_key = None
-        for u in range(n):
-            if color[u]:
-                continue
-            key = (nbr[u].bit_count(), degs[u], -u)
-            if v_key is None or key > v_key:
-                v, v_key = u, key
-        cap = max_used + 1 if max_used < k else k
-        allowed = ~nbr[v] & ((1 << cap) - 1)
-        while allowed:
-            bit = allowed & -allowed
-            allowed ^= bit
-            cnum = bit.bit_length()
-            color[v] = cnum
-            touched = []
-            for u in iter_bits(adj[v]):
-                if color[u] == 0 and not nbr[u] & bit:
-                    nbr[u] |= bit
-                    touched.append(u)
-            if dfs(remaining - 1, max_used if cnum <= max_used else cnum):
-                return True
-            for u in touched:
-                nbr[u] ^= bit
-            color[v] = 0
-        return False
-
-    if dfs(n - len(clique), len(clique)):
-        return Coloring(k, tuple(color))
-    return None
-
-
-def chromatic_number(g: Graph) -> tuple[int, Coloring]:
-    """Exact chromatic number with a witness coloring."""
-    if g.n == 0:
-        raise InputError("chromatic number is undefined for the empty graph")
-    upper = _dsatur_greedy(g)
-    lower = max(len(greedy_clique(g)), 1)
-    if upper.k <= lower:
-        return upper.k, upper
-    for k in range(lower, upper.k):
-        witness = _k_colorable(g, k)
-        if witness is not None:
-            return k, witness
-    return upper.k, upper
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive colorful k-coloring search
-
-class SearchStatus(Enum):
-    FOUND = "found"
-    NOT_EXISTS = "not_exists"
-    BUDGET_EXCEEDED = "budget_exceeded"
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    status: SearchStatus
-    coloring: Coloring | None = None
-    nodes: int = 0
-
-    @property
-    def found(self) -> bool:
-        return self.status is SearchStatus.FOUND
-
+# Budgets and the search kernel
 
 @dataclass(frozen=True)
 class Budget:
@@ -291,6 +148,226 @@ class _Clock:
                 raise _OutOfBudget
 
 
+def _backtrack(g: Graph, k: int, clock: _Clock, rank, clique=(), candidates=()):
+    """Colors 1..k for every vertex (a list indexed by vertex), or None.
+
+    The clique vertices take colors 1, 2, ... up front. With candidates,
+    the first k decisions choose the dominators: the ascending k-tuples of
+    candidates are walked as a prefix tree, in the order of
+    itertools.combinations, position j of the tuple taking color j+1 and
+    requiring every color on its closed neighborhood. Every later decision
+    colors the uncolored vertex with the fewest allowed colors, ties going
+    to the vertex in more dominator neighborhoods and then to the lower
+    rank, and tries its allowed colors in ascending order. A color above
+    one more than the largest in use is never allowed; once the dominators
+    hold all k colors this cap does nothing.
+
+    The clock ticks once per full dominator tuple (once at the start
+    without candidates) and once per color tried. All decisions live on one explicit stack, so no search depth is
+    bounded by Python's recursion limit.
+    """
+    n = g.n
+    full = (1 << k) - 1
+    closed = [(v, *iter_bits(row)) for v, row in enumerate(g.adj)]  # N[v]
+    color = [0] * n
+    nbr = [0] * n  # colors present in the open neighborhood
+    dpos = [[] for _ in range(n)]  # positions j, ascending, with v in N[doms[j]]
+    seen = [0] * k  # colors present in N[doms[j]]
+    free = [0] * k  # uncolored vertices remaining in N[doms[j]]
+
+    def assign(v, bit):
+        """Apply the assignment; returns (undo record, still feasible)."""
+        color[v] = bit.bit_length()
+        touched = []
+        for u in closed[v]:  # v itself is colored now, so skipped
+            if not color[u] and not nbr[u] & bit:
+                nbr[u] |= bit
+                touched.append(u)
+        dom_hits = []
+        feasible = True
+        for j in dpos[v]:
+            added = not seen[j] & bit
+            seen[j] |= bit
+            free[j] -= 1
+            dom_hits.append((j, added))
+            if (full & ~seen[j]).bit_count() > free[j]:
+                feasible = False
+        return (v, bit, touched, dom_hits), feasible
+
+    def undo(record):
+        v, bit, touched, dom_hits = record
+        for u in touched:
+            nbr[u] ^= bit
+        for j, added in dom_hits:
+            if added:
+                seen[j] ^= bit
+            free[j] += 1
+        color[v] = 0
+
+    for i, v in enumerate(clique):
+        assign(v, 1 << i)
+    used = len(clique)  # the largest color in use
+    positions = k if candidates else 0
+    cand_mask = sum(1 << v for v in candidates)
+    last = len(candidates) - k  # position j takes candidates[:last + j + 1]
+    # The selection key (allowed colors, -dominator positions, rank) of u as
+    # one integer, allowed.bit_count() * kn + tie[u]: tie[u] is rank[u] less
+    # n for each dominator position whose neighborhood holds u.
+    tie = list(rank)
+    kn = (k + 1) * n
+    worst = (k + 1) * kn
+    # The decisions above the current one, each as (vertex colored, untried
+    # choices, undo record, used before it): the choices are vertex bits
+    # for a dominator position and color bits otherwise.
+    stack = []
+    while True:
+        depth = len(stack)
+        if depth < positions:
+            after = stack[-1][0] + 1 if depth else 0
+            choices = cand_mask & -(1 << after) & ((2 << candidates[last + depth]) - 1)
+        else:
+            if depth == positions:
+                clock.tick()
+            cap = (1 << (used + 1 if used < k else k)) - 1
+            v = -1
+            choices = 0
+            v_key = worst
+            for u, c in enumerate(color):
+                if c:
+                    continue
+                allowed = cap & ~nbr[u]
+                for j in dpos[u]:
+                    missing = full & ~seen[j]
+                    if missing.bit_count() == free[j]:
+                        allowed &= missing
+                if not allowed:
+                    v, choices = u, 0
+                    break
+                key = allowed.bit_count() * kn + tie[u]
+                if key < v_key:
+                    v, choices, v_key = u, allowed, key
+            if v < 0:
+                return color
+        record = None
+        # Try the next choice of the current decision; when none is left,
+        # go back to the decision above it.
+        while True:
+            if record is not None:
+                undo(record)
+                if depth < positions:
+                    for u in closed[v]:
+                        dpos[u].pop()
+                        tie[u] += n
+            if not choices:
+                if not stack:
+                    return None
+                v, choices, record, used = stack.pop()
+                depth -= 1
+                continue
+            bit = choices & -choices
+            choices ^= bit
+            if depth < positions:
+                v = bit.bit_length() - 1
+                bit = 1 << depth
+                present = uncolored = 0
+                for u in closed[v]:
+                    dpos[u].append(depth)
+                    tie[u] -= n
+                    if color[u]:
+                        present |= 1 << (color[u] - 1)
+                    else:
+                        uncolored += 1
+                seen[depth] = present
+                free[depth] = uncolored
+                # A placement is always feasible: the dominators' colors are
+                # pairwise distinct, so each placement lowers a dominator
+                # neighborhood's free count and its number of missing colors
+                # by one each, and the slack |N[y]| - k >= 0 of a candidate y
+                # never changes.
+            else:
+                clock.tick()
+            record, ok = assign(v, bit)
+            if ok:
+                break
+        stack.append((v, choices, record, used))
+        if bit >> used:
+            used = bit.bit_length()
+
+
+# ---------------------------------------------------------------------------
+# Exact chromatic number
+
+def greedy_clique(g: Graph) -> list[int]:
+    """Deterministic greedy clique, used only as a lower bound / seed."""
+    best: list[int] = []
+    for seed in range(g.n):
+        clique = [seed]
+        cand = g.adj[seed]
+        while cand:
+            pick = -1
+            pick_deg = -1
+            for v in iter_bits(cand):
+                d = (g.adj[v] & cand).bit_count()
+                if d > pick_deg:
+                    pick, pick_deg = v, d
+            clique.append(pick)
+            cand &= g.adj[pick]
+        if len(clique) > len(best):
+            best = clique
+    return sorted(best)
+
+
+def chromatic_number(g: Graph) -> tuple[int, Coloring]:
+    """Exact chromatic number with a witness coloring.
+
+    The upper bound is DSATUR (Brelaz 1979): the kernel's first descent at
+    k = n, which never backtracks, since a fresh color is always allowed.
+    Each k from the greedy clique's size up is then decided by the complete
+    kernel search with the clique pre-colored; the cap on fresh colors
+    breaks color symmetry. Both rank vertices by degree, highest first,
+    then by index.
+    """
+    n = g.n
+    if n == 0:
+        raise InputError("chromatic number is undefined for the empty graph")
+    rank = [0] * n
+    for i, u in enumerate(sorted(range(n), key=lambda u: (-g.adj[u].bit_count(), u))):
+        rank[u] = i
+    clock = _Clock(Budget())
+    colors = _backtrack(g, n, clock, rank)
+    upper = Coloring(max(colors), tuple(colors))
+    clique = greedy_clique(g)
+    for k in range(len(clique), upper.k):
+        if k == 2:
+            ok, side = is_bipartite(g)
+            colors = [s + 1 for s in side] if ok else None
+        else:
+            colors = _backtrack(g, k, clock, rank, clique)
+        if colors is not None:
+            return k, Coloring(k, tuple(colors))
+    return upper.k, upper
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive colorful k-coloring search
+
+class SearchStatus(Enum):
+    FOUND = "found"
+    NOT_EXISTS = "not_exists"
+    BUDGET_EXCEEDED = "budget_exceeded"
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    status: SearchStatus
+    coloring: Coloring | None = None
+    nodes: int = 0
+
+    @property
+    def found(self) -> bool:
+        return self.status is SearchStatus.FOUND
+
+
 def find_colorful_coloring(g: Graph, k: int, budget: Budget | None = None) -> SearchResult:
     """Search for a colorful k-coloring of g.
 
@@ -321,127 +398,15 @@ def find_colorful_coloring(g: Graph, k: int, budget: Budget | None = None) -> Se
     if len(candidates) < k:
         return SearchResult(SearchStatus.NOT_EXISTS)
     try:
-        coloring = _search_dominator_tuples(g, k, candidates, clock)
+        colors = _backtrack(g, k, clock, range(n), candidates=candidates)
     except _OutOfBudget:
         return SearchResult(SearchStatus.BUDGET_EXCEEDED, None, clock.nodes)
-    if coloring is None:
+    if colors is None:
         return SearchResult(SearchStatus.NOT_EXISTS, None, clock.nodes)
+    coloring = Coloring(k, tuple(colors))
     ok, _ = is_colorful(g, coloring)
     assert ok, "search returned a non-colorful coloring"
     return SearchResult(SearchStatus.FOUND, coloring, clock.nodes)
-
-
-def _search_dominator_tuples(g: Graph, k: int, candidates, clock) -> Coloring | None:
-    """Colorful k-coloring whose dominator tuple is drawn from candidates, or None.
-
-    The ascending k-tuples of candidates are walked as a prefix tree, in
-    the order of itertools.combinations: position j of the tuple is placed
-    (color j+1) once when the walk chooses it and undone when the walk moves
-    on. Each full tuple costs one clock tick and then one extension search
-    for a proper coloring in which every dominator is b-dominating.
-    """
-    n = g.n
-    full = (1 << k) - 1
-    nbrs = [tuple(iter_bits(row)) for row in g.adj]
-    color = [0] * n
-    nbr = [0] * n  # colors present in the open neighborhood
-    dpos = [[] for _ in range(n)]  # positions j, ascending, with v in N[doms[j]]
-    seen = [0] * k  # colors present in N[doms[j]]
-    free = [0] * k  # uncolored vertices remaining in N[doms[j]]
-
-    def assign(v, bit):
-        """Apply the assignment; returns (undo record, still feasible)."""
-        color[v] = bit.bit_length()
-        touched = []
-        for u in nbrs[v]:
-            if not color[u] and not nbr[u] & bit:
-                nbr[u] |= bit
-                touched.append(u)
-        dom_hits = []
-        feasible = True
-        for j in dpos[v]:
-            added = not seen[j] & bit
-            seen[j] |= bit
-            free[j] -= 1
-            dom_hits.append((j, added))
-            if (full & ~seen[j]).bit_count() > free[j]:
-                feasible = False
-        return (v, bit, touched, dom_hits), feasible
-
-    def undo(record):
-        v, bit, touched, dom_hits = record
-        for u in touched:
-            nbr[u] ^= bit
-        for j, added in dom_hits:
-            if added:
-                seen[j] ^= bit
-            free[j] += 1
-        color[v] = 0
-
-    def dfs(remaining):
-        if remaining == 0:
-            return True
-        # Most-constrained vertex first; prefer dominator neighborhoods on ties.
-        v = -1
-        v_allowed = 0
-        v_key = None
-        for u in range(n):
-            if color[u]:
-                continue
-            allowed = full & ~nbr[u]
-            doms = dpos[u]
-            for j in doms:
-                missing = full & ~seen[j]
-                if missing.bit_count() == free[j]:
-                    allowed &= missing
-            if allowed == 0:
-                return False
-            key = (allowed.bit_count(), -len(doms), u)
-            if v_key is None or key < v_key:
-                v, v_allowed, v_key = u, allowed, key
-        while v_allowed:
-            bit = v_allowed & -v_allowed
-            v_allowed ^= bit
-            clock.tick()
-            record, ok = assign(v, bit)
-            if ok and dfs(remaining - 1):
-                return True
-            undo(record)
-        return False
-
-    def place(j, start):
-        """Try every dominator for positions j.. drawn from candidates[start:]."""
-        if j == k:
-            clock.tick()
-            return dfs(n - k)
-        bit = 1 << j
-        for i in range(start, len(candidates) - k + j + 1):
-            y = candidates[i]
-            closed = (y, *nbrs[y])
-            seen[j] = free[j] = 0
-            for v in closed:
-                dpos[v].append(j)
-                if color[v]:
-                    seen[j] |= 1 << (color[v] - 1)
-                else:
-                    free[j] += 1
-            # Placement cannot fail, so its feasibility flag is ignored. The
-            # dominators' colors are pairwise distinct: a dominator placed in
-            # the closed neighborhood of any dominator lowers that
-            # neighborhood's free count and its number of missing colors by
-            # one each, and the slack |N[y]| - k >= 0 of a candidate y never
-            # changes.
-            record, _ = assign(y, bit)
-            if place(j + 1, i + 1):
-                return True
-            undo(record)
-            for v in closed:
-                dpos[v].pop()
-        return False
-
-    if place(0, 0):
-        return Coloring(k, tuple(color))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -519,42 +484,31 @@ def read_coloring(path, g: Graph) -> Coloring:
     k = None
     colors = [0] * g.n
     seen = [False] * g.n
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c "):
-                continue
-            parts = line.split()
-            if k is None:
-                if len(parts) != 2 or parts[0] != "k":
-                    raise FileFormatError(path, lineno, "expected header 'k <int>'")
-                try:
-                    k = int(parts[1])
-                except ValueError:
-                    raise FileFormatError(path, lineno, "non-integer color count")
-                continue
-            if len(parts) != 2:
-                raise FileFormatError(path, lineno, "expected '<vertex> <color>'")
-            token, color_token = parts
-            if token in by_label:
-                v = by_label[token]
-            else:
-                try:
-                    v = int(token)
-                except ValueError:
-                    raise FileFormatError(path, lineno, f"unknown vertex {token!r}")
-                if not 0 <= v < g.n:
-                    raise FileFormatError(path, lineno, f"vertex index {v} outside 0..{g.n - 1}")
-            if seen[v]:
-                raise FileFormatError(path, lineno, f"vertex {token} assigned twice")
+    for lineno, parts in _read_fields(path):
+        if k is None:
+            if len(parts) != 2 or parts[0] != "k":
+                raise FileFormatError(path, lineno, "expected header 'k <int>'")
             try:
-                col = int(color_token)
+                k = int(parts[1])
             except ValueError:
-                raise FileFormatError(path, lineno, f"non-integer color {color_token!r}")
-            if not 1 <= col <= k:
-                raise FileFormatError(path, lineno, f"color {col} outside 1..{k}")
-            seen[v] = True
-            colors[v] = col
+                raise FileFormatError(path, lineno, "non-integer color count")
+            if k < 0:
+                raise FileFormatError(path, lineno, "negative color count")
+            continue
+        if len(parts) != 2:
+            raise FileFormatError(path, lineno, "expected '<vertex> <color>'")
+        token, color_token = parts
+        v = _resolve_vertex(g, token, by_label, path, lineno)
+        if seen[v]:
+            raise FileFormatError(path, lineno, f"vertex {token} assigned twice")
+        try:
+            col = int(color_token)
+        except ValueError:
+            raise FileFormatError(path, lineno, f"non-integer color {color_token!r}")
+        if not 1 <= col <= k:
+            raise FileFormatError(path, lineno, f"color {col} outside 1..{k}")
+        seen[v] = True
+        colors[v] = col
     if k is None:
         raise FileFormatError(path, 1, "missing header 'k <int>'")
     if not all(seen):

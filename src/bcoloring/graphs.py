@@ -231,43 +231,38 @@ def read_col(path) -> Graph:
     n = None
     declared = None
     edges = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            parts = line.split()
-            if parts[0] == "p":
-                if n is not None:
-                    raise FileFormatError(path, lineno, "duplicate problem line")
-                if len(parts) != 4 or parts[1] != "edge":
-                    raise FileFormatError(path, lineno, "expected 'p edge <n> <m>'")
-                try:
-                    n, declared = int(parts[2]), int(parts[3])
-                except ValueError:
-                    raise FileFormatError(path, lineno, "non-integer problem parameters")
-                if n < 0 or declared < 0:
-                    raise FileFormatError(path, lineno, "negative problem parameters")
-                if n > MAX_VERTICES:
-                    raise FileFormatError(
-                        path, lineno, f"{n} vertices exceed the limit of {MAX_VERTICES}"
-                    )
-            elif parts[0] == "e":
-                if n is None:
-                    raise FileFormatError(path, lineno, "edge line before problem line")
-                if len(parts) != 3:
-                    raise FileFormatError(path, lineno, "expected 'e <u> <v>'")
-                try:
-                    u, v = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise FileFormatError(path, lineno, "non-integer endpoint")
-                if not (1 <= u <= n and 1 <= v <= n):
-                    raise FileFormatError(path, lineno, f"endpoint of ({u}, {v}) outside 1..{n}")
-                if u == v:
-                    raise FileFormatError(path, lineno, f"self-loop at vertex {u}")
-                edges.append((u - 1, v - 1))
-            else:
-                raise FileFormatError(path, lineno, f"unknown line type {parts[0]!r}")
+    for lineno, parts in _read_fields(path):
+        if parts[0] == "p":
+            if n is not None:
+                raise FileFormatError(path, lineno, "duplicate problem line")
+            if len(parts) != 4 or parts[1] != "edge":
+                raise FileFormatError(path, lineno, "expected 'p edge <n> <m>'")
+            try:
+                n, declared = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise FileFormatError(path, lineno, "non-integer problem parameters")
+            if n < 0 or declared < 0:
+                raise FileFormatError(path, lineno, "negative problem parameters")
+            if n > MAX_VERTICES:
+                raise FileFormatError(
+                    path, lineno, f"{n} vertices exceed the limit of {MAX_VERTICES}"
+                )
+        elif parts[0] == "e":
+            if n is None:
+                raise FileFormatError(path, lineno, "edge line before problem line")
+            if len(parts) != 3:
+                raise FileFormatError(path, lineno, "expected 'e <u> <v>'")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise FileFormatError(path, lineno, "non-integer endpoint")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise FileFormatError(path, lineno, f"endpoint of ({u}, {v}) outside 1..{n}")
+            if u == v:
+                raise FileFormatError(path, lineno, f"self-loop at vertex {u}")
+            edges.append((u - 1, v - 1))
+        else:
+            raise FileFormatError(path, lineno, f"unknown line type {parts[0]!r}")
     if n is None:
         raise FileFormatError(path, 1, "missing problem line")
     if len(edges) != declared:
@@ -280,12 +275,51 @@ def _read_label_sidecar(path, n):
     sidecar = str(path) + ".labels"
     if not os.path.exists(sidecar):
         return None
-    labels = []
-    with open(sidecar) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line:
-                labels.append(line)
+    labels = [line.strip() for _, line in _read_lines(sidecar) if line.strip()]
     if len(labels) != n:
         raise FileFormatError(sidecar, 1, f"expected {n} labels, found {len(labels)}")
     return labels
+
+
+# ---------------------------------------------------------------------------
+# Reading shared by the .col, .coloring and .map formats
+
+def _read_lines(path):
+    """Yield (line number, line) for each line of a UTF-8 text file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        # Decoding runs ahead of the lines read, so the line of the first
+        # bad byte is counted in the raw bytes.
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text")
+        raise FileFormatError(path, 1, "not UTF-8 text")
+
+
+def _read_fields(path):
+    """Yield (line number, fields) for each line that is neither blank nor a comment.
+
+    A comment is a line whose first field is "c".
+    """
+    for lineno, line in _read_lines(path):
+        fields = line.split()
+        if fields and fields[0] != "c":
+            yield lineno, fields
+
+
+def _resolve_vertex(g: Graph, token, by_label, path, lineno) -> int:
+    """The vertex a file names by its label (a key of by_label) or by its index."""
+    if token in by_label:
+        return by_label[token]
+    try:
+        v = int(token)
+    except ValueError:
+        raise FileFormatError(path, lineno, f"unknown vertex {token!r}")
+    if not 0 <= v < g.n:
+        raise FileFormatError(path, lineno, f"vertex index {v} outside 0..{g.n - 1}")
+    return v

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .coloring import Coloring, is_colorful, is_proper
 from .errors import FileFormatError, InputError
-from .graphs import Graph, complete_graph, iter_bits, read_col
+from .graphs import Graph, _read_fields, _resolve_vertex, complete_graph, iter_bits, read_col
 from .kneser import kneser_graph
 
 
@@ -223,49 +223,37 @@ def write_map(f: VertexMap, path, source_path, target_path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _resolve_vertex(g: Graph, token, by_label, path, lineno):
-    if token in by_label:
-        return by_label[token]
-    try:
-        v = int(token)
-    except ValueError:
-        raise FileFormatError(path, lineno, f"unknown vertex {token!r}")
-    if not 0 <= v < g.n:
-        raise FileFormatError(path, lineno, f"vertex index {v} outside 0..{g.n - 1}")
-    return v
+def _map_graph_paths(path, records):
+    """The graph files named by the header among a map file's records.
+
+    The paths are resolved against the map file's directory; records is
+    the file's _read_fields iterator, left just past the header.
+    """
+    base = os.path.dirname(os.path.abspath(path))
+    for lineno, parts in records:
+        if len(parts) != 3 or parts[0] != "map":
+            raise FileFormatError(path, lineno, "expected header 'map <source> <target>'")
+        return os.path.join(base, parts[1]), os.path.join(base, parts[2])
+    raise FileFormatError(path, 1, "missing header 'map <source> <target>'")
 
 
 def read_map(path) -> VertexMap:
-    base = os.path.dirname(os.path.abspath(path))
-    source = target = None
-    mapping = None
-    seen = None
-    by_src = by_tgt = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c "):
-                continue
-            parts = line.split()
-            if source is None:
-                if len(parts) != 3 or parts[0] != "map":
-                    raise FileFormatError(path, lineno, "expected header 'map <source> <target>'")
-                source = read_col(os.path.join(base, parts[1]))
-                target = read_col(os.path.join(base, parts[2]))
-                mapping = [0] * source.n
-                seen = [False] * source.n
-                by_src = source.label_index()
-                by_tgt = target.label_index()
-                continue
-            if len(parts) != 2:
-                raise FileFormatError(path, lineno, "expected '<source-vertex> <target-vertex>'")
-            v = _resolve_vertex(source, parts[0], by_src, path, lineno)
-            if seen[v]:
-                raise FileFormatError(path, lineno, f"source vertex {parts[0]} mapped twice")
-            seen[v] = True
-            mapping[v] = _resolve_vertex(target, parts[1], by_tgt, path, lineno)
-    if source is None:
-        raise FileFormatError(path, 1, "missing header 'map <source> <target>'")
+    records = _read_fields(path)
+    source_path, target_path = _map_graph_paths(path, records)
+    source = read_col(source_path)
+    target = read_col(target_path)
+    mapping = [0] * source.n
+    seen = [False] * source.n
+    by_src = source.label_index()
+    by_tgt = target.label_index()
+    for lineno, parts in records:
+        if len(parts) != 2:
+            raise FileFormatError(path, lineno, "expected '<source-vertex> <target-vertex>'")
+        v = _resolve_vertex(source, parts[0], by_src, path, lineno)
+        if seen[v]:
+            raise FileFormatError(path, lineno, f"source vertex {parts[0]} mapped twice")
+        seen[v] = True
+        mapping[v] = _resolve_vertex(target, parts[1], by_tgt, path, lineno)
     if not all(seen):
         missing = seen.index(False)
         raise FileFormatError(path, 1, f"no image given for source vertex {source.label_of(missing)}")

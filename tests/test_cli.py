@@ -202,3 +202,21 @@ def test_cli_output_is_deterministic(tmp_path, capsys):
     first = run(capsys, "color", "bspectrum", "-g", str(tmp_path / "q3.col"))
     second = run(capsys, "color", "bspectrum", "-g", str(tmp_path / "q3.col"))
     assert first == second
+
+
+def test_bspectrum_on_a_deep_path(tmp_path, capsys):
+    # Deeper than Python's recursion limit; this once ended in exit 4.
+    from bcoloring.graphs import path_graph
+
+    write_col(path_graph(1500), tmp_path / "path.col")
+    code, out, _ = run(capsys, "color", "bspectrum", "-g", str(tmp_path / "path.col"), "--json")
+    assert code == 0
+    assert json.loads(out)["spectrum"] == [2, 3]
+
+
+def test_non_utf8_label_sidecar_exit_code(tmp_path, capsys):
+    write_col(q3(), tmp_path / "q3.col")
+    (tmp_path / "q3.col.labels").write_bytes(b"a\nb\n\xff\n")
+    code, _, err = run(capsys, "graph", "girth", "-g", str(tmp_path / "q3.col"))
+    assert code == 3
+    assert "q3.col.labels:3: not UTF-8 text" in err

@@ -278,3 +278,58 @@ def test_b_spectrum_invariants_on_random_graphs(rng):
             assert is_colorful(g, witness)[0] and witness.k == k
         for k in range(1, report.m_bound + 1):
             assert (k in report.spectrum) == oracles.naive_colorful_exists(g, k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("shape", ["path", "cycle"])
+def test_search_depth_is_not_bounded_by_the_recursion_limit(shape, k):
+    # Each of the 2,000 vertices is one decision deep on the search stack,
+    # twice Python's default recursion limit.
+    from bcoloring.graphs import path_graph
+
+    g = path_graph(2000) if shape == "path" else cycle_graph(2000)
+    result = find_colorful_coloring(g, k)
+    assert result.status is SearchStatus.FOUND
+    if shape == "path":
+        # One node for the first dominator tuple, one per remaining vertex.
+        assert result.nodes == 2000 - k + 1
+
+
+def test_dominator_walk_deeper_than_the_recursion_limit():
+    assert find_colorful_coloring(complete_graph(1100), 1100).status is SearchStatus.FOUND
+
+
+def test_chromatic_bound_descends_a_long_odd_cycle():
+    # The DSATUR bound colors all 2,001 vertices in one descent; k = 2 is
+    # refuted by the bipartite test, so the bound is the answer.
+    chi, witness = chromatic_number(cycle_graph(2001))
+    assert chi == 3 and is_proper(cycle_graph(2001), witness)
+
+
+def _grotzsch():
+    # The Mycielskian of C5: 11 vertices of degrees 3, 4 and 5, chi 4.
+    cycle = [(i, (i + 1) % 5) for i in range(5)]
+    shadows = [(a, 5 + b) for u, v in cycle for a, b in ((u, v), (v, u))]
+    apex = [(5 + v, 10) for v in range(5)]
+    return graph_from_edges(11, cycle + shadows + apex)
+
+
+_IRREGULAR_9 = [
+    (0, 2), (0, 5), (0, 6), (0, 7), (1, 2), (1, 4), (1, 6), (2, 4), (2, 6), (3, 4),
+    (3, 5), (3, 6), (3, 7), (3, 8), (4, 6), (4, 8), (5, 6), (5, 7), (6, 7),
+]
+
+
+@pytest.mark.parametrize(
+    "make_graph, chi, colors",
+    [
+        # The witness is the DSATUR bound: no 3-coloring exists.
+        (_grotzsch, 4, (2, 1, 2, 3, 1, 2, 3, 2, 3, 4, 1)),
+        # The witness comes from the exact search at k = 4, below the bound.
+        (lambda: graph_from_edges(9, _IRREGULAR_9), 4, (1, 1, 4, 1, 2, 2, 3, 4, 3)),
+    ],
+)
+def test_chromatic_witnesses_are_pinned(make_graph, chi, colors):
+    # Ties between equally constrained vertices go to higher degree, then
+    # lower index; breaking them by index alone gives other witnesses here.
+    assert chromatic_number(make_graph()) == (chi, Coloring(chi, colors))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcoloring.coloring import Coloring, read_coloring, write_coloring
 from bcoloring.errors import FileFormatError
@@ -115,3 +117,95 @@ def test_map_malformed_files(tmp_path, lines, fragment):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FileFormatError, match=fragment):
         read_map(path)
+
+
+# Bytes that are mostly lines of the formats' own tokens, with stray bytes.
+_TOKENS = [
+    b"c", b"p", b"edge", b"e", b"k", b"map", b"g.col", b"missing.col", b"0", b"1",
+    b"2", b"3", b"-1", b"99999", b"x", b"{1,2}", b"{3,4}", b"\xff", b"\xc3", b"\xe2\x82",
+]
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(
+        st.lists(st.sampled_from(_TOKENS), max_size=5).map(b" ".join), max_size=8
+    ).map(lambda lines: b"\n".join(lines)),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    write_col(kneser_graph(5, 2).graph, d / "g.col")
+    return d
+
+
+def _parses_or_rejects(read, path, data, also=()):
+    path.write_bytes(data)
+    try:
+        read(path)
+    except FileFormatError:
+        pass
+    except also:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FILE_BYTES)
+def test_col_reader_fuzz(fuzz_dir, data):
+    from bcoloring.graphs import read_col
+
+    _parses_or_rejects(read_col, fuzz_dir / "fuzz.col", data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FILE_BYTES)
+def test_coloring_reader_fuzz(fuzz_dir, data):
+    g = kneser_graph(5, 2).graph
+    _parses_or_rejects(lambda path: read_coloring(path, g), fuzz_dir / "fuzz.coloring", data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FILE_BYTES)
+def test_map_reader_fuzz(fuzz_dir, data):
+    # A header may name a graph file that is not there.
+    _parses_or_rejects(read_map, fuzz_dir / "fuzz.map", data, also=OSError)
+
+
+def test_comment_is_a_line_whose_first_field_is_c(tmp_path):
+    from bcoloring.graphs import path_graph, read_col
+
+    col = tmp_path / "p.col"
+    col.write_text("c\nc  two fields\np edge 2 1\ne 1 2\n")
+    assert read_col(col) == path_graph(2)
+    col.write_text("p edge 2 1\ncat 1 2\ne 1 2\n")
+    with pytest.raises(FileFormatError, match="unknown line type 'cat'"):
+        read_col(col)
+    coloring = tmp_path / "p.coloring"
+    coloring.write_text("c\nk 2\nc\t note\n0 1\n1 2\n")
+    assert read_coloring(coloring, path_graph(2)).colors == (1, 2)
+    write_col(path_graph(2), tmp_path / "q.col")
+    map_path = tmp_path / "p.map"
+    map_path.write_text("c\nmap q.col q.col\nc\n0 1\n1 0\n")
+    assert read_map(map_path).mapping == (1, 0)
+
+
+@pytest.mark.parametrize("suffix", [".col", ".coloring", ".map"])
+def test_non_utf8_files_are_format_errors(tmp_path, suffix):
+    from bcoloring.graphs import path_graph, read_col
+
+    path = tmp_path / f"bad{suffix}"
+    path.write_bytes(b"c fine\nc \xff\n")
+    read = {".col": read_col, ".map": read_map}.get(suffix, lambda p: read_coloring(p, path_graph(1)))
+    with pytest.raises(FileFormatError, match="not UTF-8") as err:
+        read(path)
+    assert err.value.lineno == 2
+
+
+def test_coloring_rejects_a_negative_color_count(tmp_path):
+    # Only a graph without vertices gets as far as the count itself.
+    from bcoloring.graphs import graph_from_edges
+
+    path = tmp_path / "empty.coloring"
+    path.write_text("k -1\n")
+    with pytest.raises(FileFormatError, match="negative color count"):
+        read_coloring(path, graph_from_edges(0, []))

@@ -22,7 +22,6 @@ from .errors import FileFormatError, InputError
 from .graphs import (
     INFINITE_GIRTH,
     Graph,
-    closed_neighborhood,
     complete_graph,
     cycle_graph,
     girth,
@@ -40,7 +39,6 @@ from .homomorphism import (
     coloring_as_hom,
     compose,
     hom_as_coloring,
-    identity_map,
     is_homomorphism,
     is_semi_locally_surjective,
     is_surjective,
@@ -54,9 +52,6 @@ from .kneser import (
     format_subset,
     kneser_graph,
     lovasz_chromatic,
-    parse_subset,
-    rank_subset,
-    unrank_subset,
 )
 
 __version__ = "0.1.0"

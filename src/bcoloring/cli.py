@@ -22,7 +22,7 @@ from .coloring import (
     read_coloring,
     write_coloring,
 )
-from .errors import FileFormatError, InputError
+from .errors import InputError
 from .graphs import (
     INFINITE_GIRTH,
     _read_fields,
@@ -332,13 +332,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (InputError, OSError) as exc:  # FileFormatError is an InputError
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:

@@ -119,12 +119,6 @@ def graph_from_edges(n: int, edges, labels=None) -> Graph:
     return Graph(n, adj, labels)
 
 
-def closed_neighborhood(g: Graph, v: int) -> set[int]:
-    """N[v]: the vertex v together with its neighbors."""
-    g.check_vertex(v)
-    return {v, *iter_bits(g.adj[v])}
-
-
 def regularity(g: Graph) -> int | None:
     """The common degree d when g is d-regular, else None."""
     if g.n == 0:

@@ -44,10 +44,6 @@ class VertexMap:
         return self.mapping[v]
 
 
-def identity_map(g: Graph) -> VertexMap:
-    return VertexMap(g, g, tuple(range(g.n)))
-
-
 def is_homomorphism(f: VertexMap) -> bool:
     """True iff every source edge maps to a target edge (never collapses)."""
     for u, v in f.source.edges():

@@ -164,6 +164,9 @@ def test_malformed_file_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "graph", "girth", "-g", str(bad))
     assert code == 3
     assert "bad.col:2" in err
+    code, _, err = run(capsys, "graph", "girth", "-g", str(tmp_path / "missing.col"))
+    assert code == 3
+    assert err.startswith("error: ") and "missing.col" in err
 
 
 def test_oversized_inputs_exit_code(tmp_path, capsys):

@@ -9,7 +9,6 @@ from bcoloring.errors import FileFormatError, InputError
 from bcoloring.graphs import (
     INFINITE_GIRTH,
     Graph,
-    closed_neighborhood,
     complete_graph,
     cycle_graph,
     girth,
@@ -65,13 +64,6 @@ def test_constructor_rejects_asymmetry_and_bad_bits():
         Graph(2, [0b100, 0b00])
 
 
-def test_closed_neighborhood_triangle_and_isolated():
-    assert closed_neighborhood(complete_graph(3), 0) == {0, 1, 2}
-    assert closed_neighborhood(graph_from_edges(2, []), 1) == {1}
-    with pytest.raises(InputError):
-        closed_neighborhood(complete_graph(3), 3)
-
-
 def test_petersen_structure_against_independent_construction():
     # Petersen rebuilt from raw disjoint 2-subsets of {1..5}: 3-regular,
     # every closed neighborhood has 4 vertices, girth 5, not bipartite.
@@ -79,7 +71,7 @@ def test_petersen_structure_against_independent_construction():
     assert g.n == 10 and g.edge_count() == 15
     assert regularity(g) == 3
     for v in range(10):
-        assert len(closed_neighborhood(g, v)) == 4
+        assert g.degree(v) + 1 == 4
     assert oracles.naive_girth(g) == 5
     assert girth(g) == 5
     ok, _ = is_bipartite(g)

@@ -6,61 +6,52 @@ import pytest
 from bcoloring.coloring import chromatic_number
 from bcoloring.errors import InputError
 from bcoloring.graphs import MAX_VERTICES
-from bcoloring.kneser import (
-    format_subset,
-    kneser_graph,
-    lovasz_chromatic,
-    parse_subset,
-    rank_subset,
-    unrank_subset,
-)
+from bcoloring.kneser import format_subset, kneser_graph, lovasz_chromatic
 
 import oracles
 
 
+def colex_rank(members):
+    """Closed-form colex rank of an ascending subset: sum of C(x-1, j+1)."""
+    return sum(math.comb(x - 1, j + 1) for j, x in enumerate(members))
+
+
 def test_colex_rank_endpoints():
-    assert rank_subset(7, 3, (1, 2, 3)) == 0
-    assert rank_subset(7, 3, (5, 6, 7)) == 34
+    kg = kneser_graph(7, 3)
+    assert kg.subsets[0] == (1, 2, 3) and kg.index_of((1, 2, 3)) == 0
+    assert kg.subsets[34] == (5, 6, 7) and kg.index_of((5, 6, 7)) == 34
 
 
 def test_rank_unrank_round_trip_kg73():
+    kg = kneser_graph(7, 3)
     for index in range(35):
-        members = unrank_subset(7, 3, index)
-        assert rank_subset(7, 3, members) == index
-    all_subsets = {unrank_subset(7, 3, i) for i in range(35)}
-    assert all_subsets == set(combinations(range(1, 8), 3))
+        assert kg.index_of(kg.subset_of(index)) == index
+        assert kg.index_of(reversed(kg.subsets[index])) == index
+    assert set(kg.subsets) == set(combinations(range(1, 8), 3))
 
 
-@pytest.mark.parametrize("n,m", [(5, 2), (6, 3), (9, 4), (8, 1)])
+@pytest.mark.parametrize("n,m", [(5, 2), (6, 3), (9, 4), (8, 1), (15, 7)])
 def test_rank_unrank_bijection(n, m):
-    count = math.comb(n, m)
-    seen = set()
-    for index in range(count):
-        members = unrank_subset(n, m, index)
+    # The vertex order is frozen into every file written: vertex i is the
+    # subset whose closed-form colex rank is i.
+    kg = kneser_graph(n, m)
+    assert len(kg.subsets) == kg.graph.n == math.comb(n, m)
+    for index, members in enumerate(kg.subsets):
         assert len(members) == m and all(1 <= x <= n for x in members)
-        assert rank_subset(n, m, members) == index
-        seen.add(members)
-    assert len(seen) == count
+        assert colex_rank(members) == index
+        assert kg.index_of(members) == index
 
 
 def test_rank_rejects_malformed_labels():
-    with pytest.raises(InputError):
-        rank_subset(7, 3, (1, 1, 2))
-    with pytest.raises(InputError):
-        rank_subset(7, 3, (0, 1, 2))
-    with pytest.raises(InputError):
-        rank_subset(7, 3, (5, 6, 8))
-    with pytest.raises(InputError):
-        unrank_subset(7, 3, 35)
+    kg = kneser_graph(7, 3)
+    for members in [(1, 1, 2), (0, 1, 2), (5, 6, 8), (1, 2), (1, 2, 3, 4), ()]:
+        with pytest.raises(InputError, match="not a 3-subset of 1..7"):
+            kg.index_of(members)
 
 
 def test_subset_label_rendering():
     assert format_subset((1, 2, 3)) == "{1,2,3}"
-    assert parse_subset("{2,5,6}") == (2, 5, 6)
-    with pytest.raises(InputError):
-        parse_subset("{2,2}")
-    with pytest.raises(InputError):
-        parse_subset("1,2,3")
+    assert kneser_graph(7, 3).graph.labels[34] == "{5,6,7}"
 
 
 def test_petersen_is_kg52():
@@ -95,7 +86,7 @@ def test_adjacency_is_label_disjointness(n, m):
             assert kg.graph.has_edge(i, j) == disjoint
 
 
-@pytest.mark.parametrize("n,m", [(4, 2), (6, 3), (7, 3), (9, 4)])
+@pytest.mark.parametrize("n,m", [(4, 2), (6, 3), (7, 3), (9, 4), (15, 7)])
 def test_degree_formula(n, m):
     kg = kneser_graph(n, m)
     expected = math.comb(n - m, m)
@@ -116,7 +107,7 @@ def test_constructor_rejects_bad_parameters():
 
 
 def test_constructor_rejects_graphs_over_the_vertex_limit():
-    # C(30,15) is about 1.55e8: the check must come before any subset is unranked.
+    # C(30,15) is about 1.55e8: the check must come before any subset is enumerated.
     assert math.comb(15, 7) <= MAX_VERTICES < math.comb(30, 15)
     with pytest.raises(InputError, match="limit"):
         kneser_graph(30, 15)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import FileFormatError, InputError
-from .graphs import Graph, _read_fields, _resolve_vertex, is_bipartite, iter_bits
+from .graphs import MAX_VERTICES, Graph, _first_meeting, _preimages, _read_fields, _resolve_vertex
+from .graphs import _write_lines, is_bipartite, iter_bits
 
 
 @dataclass(frozen=True)
@@ -45,36 +46,21 @@ def _require_total(g: Graph, c: Coloring):
         raise InputError(f"coloring covers {len(c.colors)} vertices, graph has {g.n}")
 
 
-def _class_masks(g: Graph, c: Coloring) -> list[int]:
-    masks = [0] * c.k
-    for v, col in enumerate(c.colors):
-        masks[col - 1] |= 1 << v
-    return masks
-
-
 def is_proper(g: Graph, c: Coloring) -> bool:
     """True iff no edge is monochromatic."""
     _require_total(g, c)
-    for mask in _class_masks(g, c):
-        for v in iter_bits(mask):
-            if g.adj[v] & mask:
-                return False
-    return True
+    masks = _preimages([col - 1 for col in c.colors], c.k)  # the color classes
+    return not any(row & masks[col - 1] for row, col in zip(g.adj, c.colors))
 
 
 def is_b_dominating(g: Graph, c: Coloring, v: int) -> bool:
     """True iff every color 1..k appears on the closed neighborhood of v."""
     _require_total(g, c)
     g.check_vertex(v)
-    return _closed_colors(g, c, v) == (1 << c.k) - 1
-
-
-def _closed_colors(g: Graph, c: Coloring, v: int) -> int:
-    """Bit mask of the colors present on the closed neighborhood of v."""
     seen = 1 << (c.colors[v] - 1)
     for u in iter_bits(g.adj[v]):
         seen |= 1 << (c.colors[u] - 1)
-    return seen
+    return seen == (1 << c.k) - 1
 
 
 def is_colorful(g: Graph, c: Coloring) -> tuple[bool, dict[int, int] | None]:
@@ -83,19 +69,19 @@ def is_colorful(g: Graph, c: Coloring) -> tuple[bool, dict[int, int] | None]:
     Returns (True, {color: witness vertex}) when c is proper, every class
     is nonempty, and every class contains a b-dominating vertex; the
     witness per class is the least-index one. Otherwise (False, None).
+    This is the SLS test of c as a map into K_k (coloring_as_hom): c is
+    colorful exactly when that map is SLS, and the witness of class i is the
+    certificate witness of K_k's vertex i-1.
     """
-    _require_total(g, c)
     if not is_proper(g, c):
         return False, None
-    full = (1 << c.k) - 1
+    masks = _preimages([col - 1 for col in c.colors], c.k)
     witnesses = {}
-    for i, mask in enumerate(_class_masks(g, c), start=1):
-        if mask == 0:
-            return False, None
-        found = next((v for v in iter_bits(mask) if _closed_colors(g, c, v) == full), None)
+    for i, mask in enumerate(masks):
+        found = _first_meeting(g.adj, mask, masks[:i] + masks[i + 1:])
         if found is None:
             return False, None
-        witnesses[i] = found
+        witnesses[i + 1] = found
     return True, witnesses
 
 
@@ -120,6 +106,13 @@ class Budget:
 
     max_nodes: int | None = None
     max_seconds: float | None = None
+
+    def __post_init__(self):
+        # "not x >= 0" also rejects NaN, which no deadline comparison would end.
+        if self.max_nodes is not None and not self.max_nodes >= 0:
+            raise InputError(f"node budget must be nonnegative, got {self.max_nodes}")
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise InputError(f"time budget must be nonnegative seconds, got {self.max_seconds}")
 
 
 DEFAULT_BUDGET = Budget(max_nodes=50_000_000, max_seconds=600.0)
@@ -475,8 +468,7 @@ def write_coloring(c: Coloring, path, g: Graph) -> None:
     lines = [f"k {c.k}"]
     for v in range(g.n):
         lines.append(f"{g.label_of(v)} {c.colors[v]}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_coloring(path, g: Graph) -> Coloring:
@@ -494,6 +486,8 @@ def read_coloring(path, g: Graph) -> Coloring:
                 raise FileFormatError(path, lineno, "non-integer color count")
             if k < 0:
                 raise FileFormatError(path, lineno, "negative color count")
+            if k > MAX_VERTICES:
+                raise FileFormatError(path, lineno, f"{k} colors exceed the limit {MAX_VERTICES}")
             continue
         if len(parts) != 2:
             raise FileFormatError(path, lineno, "expected '<vertex> <color>'")

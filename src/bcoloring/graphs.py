@@ -28,6 +28,22 @@ def iter_bits(mask):
         mask ^= low
 
 
+def _preimages(image, m) -> list[int]:
+    """Bit mask of the preimage of each target 0..m-1 of the map v -> image[v]."""
+    pre = [0] * m
+    for v, t in enumerate(image):
+        pre[t] |= 1 << v
+    return pre
+
+
+def _first_meeting(adj, candidates, required):
+    """Least vertex in candidates whose row of adj meets every mask in required, or None."""
+    for a in iter_bits(candidates):
+        if all(adj[a] & mask for mask in required):
+            return a
+    return None
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
@@ -183,9 +199,9 @@ def is_bipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     return True, tuple(side)
 
 
-def complete_graph(k: int, labels=None) -> Graph:
+def complete_graph(k: int) -> Graph:
     full = (1 << k) - 1
-    return Graph(k, [full ^ (1 << v) for v in range(k)], labels)
+    return Graph(k, [full ^ (1 << v) for v in range(k)])
 
 
 def cycle_graph(n: int) -> Graph:
@@ -213,11 +229,9 @@ def write_col(g: Graph, path, comment: str | None = None) -> None:
     lines.append(f"p edge {g.n} {g.edge_count()}")
     for u, v in g.edges():
         lines.append(f"e {u + 1} {v + 1}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
     if g.labels is not None:
-        with open(str(path) + ".labels", "w") as fh:
-            fh.write("\n".join(g.labels) + "\n")
+        _write_lines(str(path) + ".labels", g.labels)
 
 
 def read_col(path) -> Graph:
@@ -276,7 +290,13 @@ def _read_label_sidecar(path, n):
 
 
 # ---------------------------------------------------------------------------
-# Reading shared by the .col, .coloring and .map formats
+# Reading and writing shared by the .col, .coloring and .map formats
+
+def _write_lines(path, lines) -> None:
+    """Write each of lines, newline-terminated, as a UTF-8 text file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
 
 def _read_lines(path):
     """Yield (line number, line) for each line of a UTF-8 text file."""

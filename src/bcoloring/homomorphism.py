@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .coloring import Coloring, is_colorful, is_proper
 from .errors import FileFormatError, InputError
-from .graphs import Graph, _read_fields, _resolve_vertex, complete_graph, iter_bits, read_col
+from .graphs import Graph, _first_meeting, _preimages, _read_fields, _resolve_vertex, _write_lines
+from .graphs import complete_graph, iter_bits, read_col
 from .kneser import kneser_graph
 
 
@@ -46,11 +47,11 @@ class VertexMap:
 
 def is_homomorphism(f: VertexMap) -> bool:
     """True iff every source edge maps to a target edge (never collapses)."""
-    for u, v in f.source.edges():
-        fu, fv = f.mapping[u], f.mapping[v]
-        if fu == fv or not (f.target.adj[fu] >> fv) & 1:
-            return False
-    return True
+    # Row v must lie inside reach[f(v)], the union (a sum: they are disjoint)
+    # of the preimages of the target neighbors of f(v).
+    pre = _preimages(f.mapping, f.target.n)
+    reach = [sum(pre[t] for t in iter_bits(row)) for row in f.target.adj]
+    return not any(row & ~reach[t] for row, t in zip(f.source.adj, f.mapping))
 
 
 def is_surjective(f: VertexMap) -> bool:
@@ -101,35 +102,25 @@ def is_semi_locally_surjective(f: VertexMap) -> SlsVerdict:
 
     Surjectivity and homomorphism-ness are checked first; failing either
     yields a No with a reason. Witness candidates are scanned in ascending
-    source index, so verdicts are deterministic.
+    source index, so verdicts are deterministic: witness[u] is the least
+    preimage of u adjacent to a preimage of every target neighbor v, and
+    neighbor_witness[u][v] the least preimage of v adjacent to it.
     """
     if not is_homomorphism(f):
         return SlsVerdict(False, reason="not a graph homomorphism")
-    preimage: list[list[int]] = [[] for _ in range(f.target.n)]
-    for v, image in enumerate(f.mapping):
-        preimage[image].append(v)
-    for u in range(f.target.n):
-        if not preimage[u]:
-            return SlsVerdict(False, failing_vertex=u, reason="not surjective")
+    pre = _preimages(f.mapping, f.target.n)
+    if 0 in pre:
+        return SlsVerdict(False, failing_vertex=pre.index(0), reason="not surjective")
     witness = {}
     neighbor_witness = {}
     source_adj = f.source.adj
-    for u in range(f.target.n):
-        targets = list(iter_bits(f.target.adj[u]))
-        chosen = None
-        for a in preimage[u]:
-            around = {}
-            for v in targets:
-                b = next((b for b in preimage[v] if (source_adj[a] >> b) & 1), None)
-                if b is None:
-                    break
-                around[v] = b
-            else:
-                chosen = (a, around)
-                break
-        if chosen is None:
+    for u, row in enumerate(f.target.adj):
+        targets = list(iter_bits(row))
+        a = _first_meeting(source_adj, pre[u], [pre[v] for v in targets])
+        if a is None:
             return SlsVerdict(False, failing_vertex=u, reason="no valid preimage witness")
-        witness[u], neighbor_witness[u] = chosen
+        witness[u] = a
+        neighbor_witness[u] = {v: next(iter_bits(source_adj[a] & pre[v])) for v in targets}
     return SlsVerdict(True, SlsCertificate(witness, neighbor_witness))
 
 
@@ -215,8 +206,7 @@ def write_map(f: VertexMap, path, source_path, target_path) -> None:
     lines = [f"map {src_rel} {tgt_rel}"]
     for v in range(f.source.n):
         lines.append(f"{f.source.label_of(v)} {f.target.label_of(f.mapping[v])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _map_graph_paths(path, records):

@@ -4,7 +4,7 @@ from bcoloring import cli
 from bcoloring.cli import main
 from bcoloring.coloring import Coloring, is_colorful, read_coloring, write_coloring
 from bcoloring.fixtures import q3
-from bcoloring.graphs import read_col, write_col
+from bcoloring.graphs import path_graph, read_col, write_col
 from bcoloring.kneser import kneser_graph
 
 
@@ -176,6 +176,20 @@ def test_oversized_inputs_exit_code(tmp_path, capsys):
     assert code == 3 and "limit" in err
     code, _, err = run(capsys, "kneser", "gen", "-n", "30", "-m", "15", "-o", str(tmp_path / "kg.col"))
     assert code == 3 and "limit" in err
+    write_col(path_graph(2), tmp_path / "p2.col")
+    many = tmp_path / "many.coloring"
+    many.write_text("k 10001\n0 1\n1 2\n")
+    code, _, err = run(capsys, "color", "verify", "-g", str(tmp_path / "p2.col"), "-c", str(many))
+    assert code == 3 and "limit" in err
+
+
+def test_invalid_budget_exit_code(tmp_path, capsys):
+    # A NaN deadline never passes, so it would leave the search uncapped.
+    graph = tmp_path / "q3.col"
+    write_col(q3(), graph)
+    for option, value in (("--seconds", "nan"), ("--budget", "-1"), ("--seconds", "-1")):
+        code, out, err = run(capsys, "color", "bspectrum", "-g", str(graph), option, value)
+        assert code == 3 and out == "" and "budget" in err
 
 
 def test_unexpected_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -100,6 +100,9 @@ def test_colorful_agrees_with_definition(gc):
         for color, v in witnesses.items():
             assert c.colors[v] == color
             assert is_b_dominating(g, c, v)
+            assert v == min(
+                u for u in range(g.n) if c.colors[u] == color and is_b_dominating(g, c, u)
+            )
 
 
 def test_chromatic_small_cases():
@@ -174,6 +177,14 @@ def test_budget_exhaustion_is_inconclusive_not_refuted():
     assert result.coloring is None
     # With room to finish, the same search concludes.
     assert find_colorful_coloring(heawood(), 4).status is SearchStatus.FOUND
+
+
+def test_budget_rejects_negative_and_nan_caps():
+    # NaN would never pass a deadline comparison, so it would not cap anything.
+    for caps in ({"max_nodes": -1}, {"max_seconds": -1.0}, {"max_seconds": float("nan")}):
+        with pytest.raises(InputError):
+            Budget(**caps)
+    assert Budget(max_nodes=0, max_seconds=float("inf")).max_nodes == 0
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,7 @@ def test_coloring_accepts_bare_indices_for_labeled_graph(tmp_path):
         ("k 2\n0 1\n7 1\n", "outside 0..2"),
         ("k 2\n0 1\nbogus 1\n", "unknown vertex"),
         ("k 2\n0 1\n", "no color given"),
+        ("k 10001\n0 1\n1 2\n2 1\n", "limit"),
     ],
 )
 def test_coloring_malformed_files(tmp_path, body, fragment):

@@ -100,6 +100,18 @@ def test_sls_verdict_matches_brute_force_exhaustively():
             assert verdict.ok == oracles.naive_is_sls(source, target, mapping)
             if verdict.ok:
                 assert verdict.certificate.verify(f)
+                # The witnesses are the least valid ones, found by brute force.
+                pre = [[b for b in range(source.n) if mapping[b] == v] for v in range(target.n)]
+                for u in range(target.n):
+                    around = target.neighbors(u)
+                    a = min(
+                        a for a in pre[u]
+                        if all(any(source.has_edge(a, b) for b in pre[v]) for v in around)
+                    )
+                    assert verdict.certificate.witness[u] == a
+                    assert verdict.certificate.neighbor_witness[u] == {
+                        v: min(b for b in pre[v] if source.has_edge(a, b)) for v in around
+                    }
             elif verdict.reason == "no valid preimage witness":
                 assert not oracles.naive_sls_witness_exists(
                     source, target, mapping, verdict.failing_vertex
@@ -332,6 +344,9 @@ def test_bridge_on_random_colorings(gc):
     # Thm-1.2-style bridge: a coloring is colorful exactly when the induced
     # map into the complete graph is SLS.
     g, c = gc
-    colorful, _ = is_colorful(g, c)
+    colorful, witnesses = is_colorful(g, c)
     as_map = tuple(col - 1 for col in c.colors)
     assert colorful == oracles.naive_is_sls(g, complete_graph(c.k), as_map)
+    if colorful:
+        certificate = is_semi_locally_surjective(coloring_as_hom(g, c)).certificate
+        assert witnesses == {u + 1: a for u, a in certificate.witness.items()}

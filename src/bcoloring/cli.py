@@ -1,8 +1,8 @@
 """Command-line surface: every operation scriptable, nothing random.
 
 Exit status: 0 = verified/true, 1 = refuted/false, 2 = inconclusive
-(budget ran out), 3 = input error, 4 = unexpected internal error. Reports
-are "key value" lines, or one flat JSON object with --json.
+(budget ran out), 3 = input or usage error, 4 = unexpected internal
+error. Reports are "key value" lines, or one flat JSON object with --json.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .coloring import (
 from .errors import InputError
 from .graphs import (
     INFINITE_GIRTH,
-    _read_fields,
     girth,
     is_bipartite,
     read_col,
@@ -33,7 +32,7 @@ from .graphs import (
     write_col,
 )
 from .homomorphism import (
-    _map_graph_paths,
+    _read_map_header,
     compose,
     is_homomorphism,
     is_semi_locally_surjective,
@@ -177,8 +176,8 @@ def _cmd_hom_compose(args):
     f = read_map(args.first)
     g = read_map(args.second)
     composite = compose(f, g)
-    source_path, _ = _map_graph_paths(args.first, _read_fields(args.first))
-    _, target_path = _map_graph_paths(args.second, _read_fields(args.second))
+    source_path, _, _ = _read_map_header(args.first)
+    _, target_path, _ = _read_map_header(args.second)
     write_map(composite, args.output, source_path, target_path)
     _emit([("map", args.output)], args.json)
     return 0
@@ -329,7 +328,11 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse ends a usage error with status 2, which reads as "inconclusive".
+        return 3 if exc.code == 2 else exc.code
     try:
         return args.handler(args)
     except (InputError, OSError) as exc:  # FileFormatError is an InputError

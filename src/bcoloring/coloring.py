@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import FileFormatError, InputError
-from .graphs import MAX_VERTICES, Graph, _first_meeting, _preimages, _read_fields, _resolve_vertex
-from .graphs import _write_lines, is_bipartite, iter_bits
+from .graphs import MAX_VERTICES, Graph, _first_meeting, _preimages, _read_fields, _read_header
+from .graphs import _read_vertex_records, _write_vertex_records, is_bipartite, iter_bits
 
 
 @dataclass(frozen=True)
@@ -380,15 +380,13 @@ def find_colorful_coloring(g: Graph, k: int, budget: Budget | None = None) -> Se
         raise InputError("k must be at least 1")
     clock = _Clock(budget if budget is not None else DEFAULT_BUDGET)
     n = g.n
-    if k > n:
+    candidates = [v for v in range(n) if g.adj[v].bit_count() >= k - 1]
+    if len(candidates) < k:  # every k > n included
         return SearchResult(SearchStatus.NOT_EXISTS)
     if k == 1:
         # A single class: any vertex is b-dominating iff the graph is edgeless.
         if g.edge_count() == 0:
             return SearchResult(SearchStatus.FOUND, Coloring(1, (1,) * n))
-        return SearchResult(SearchStatus.NOT_EXISTS)
-    candidates = [v for v in range(n) if g.adj[v].bit_count() >= k - 1]
-    if len(candidates) < k:
         return SearchResult(SearchStatus.NOT_EXISTS)
     try:
         colors = _backtrack(g, k, clock, range(n), candidates=candidates)
@@ -465,47 +463,28 @@ def b_spectrum(g: Graph, budget: Budget | None = None) -> BSpectrumReport:
 
 def write_coloring(c: Coloring, path, g: Graph) -> None:
     _require_total(g, c)
-    lines = [f"k {c.k}"]
-    for v in range(g.n):
-        lines.append(f"{g.label_of(v)} {c.colors[v]}")
-    _write_lines(path, lines)
+    _write_vertex_records(path, f"k {c.k}", g, c.colors)
 
 
 def read_coloring(path, g: Graph) -> Coloring:
-    by_label = g.label_index()
-    k = None
-    colors = [0] * g.n
-    seen = [False] * g.n
-    for lineno, parts in _read_fields(path):
-        if k is None:
-            if len(parts) != 2 or parts[0] != "k":
-                raise FileFormatError(path, lineno, "expected header 'k <int>'")
-            try:
-                k = int(parts[1])
-            except ValueError:
-                raise FileFormatError(path, lineno, "non-integer color count")
-            if k < 0:
-                raise FileFormatError(path, lineno, "negative color count")
-            if k > MAX_VERTICES:
-                raise FileFormatError(path, lineno, f"{k} colors exceed the limit {MAX_VERTICES}")
-            continue
-        if len(parts) != 2:
-            raise FileFormatError(path, lineno, "expected '<vertex> <color>'")
-        token, color_token = parts
-        v = _resolve_vertex(g, token, by_label, path, lineno)
-        if seen[v]:
-            raise FileFormatError(path, lineno, f"vertex {token} assigned twice")
+    records = _read_fields(path)
+    lineno, (_, k) = _read_header(path, records, "k <int>")
+    try:
+        k = int(k)
+    except ValueError:
+        raise FileFormatError(path, lineno, "non-integer color count")
+    if k < 0:
+        raise FileFormatError(path, lineno, "negative color count")
+    if k > MAX_VERTICES:
+        raise FileFormatError(path, lineno, f"{k} colors exceed the limit {MAX_VERTICES}")
+
+    def color(token, lineno):
         try:
-            col = int(color_token)
+            col = int(token)
         except ValueError:
-            raise FileFormatError(path, lineno, f"non-integer color {color_token!r}")
+            raise FileFormatError(path, lineno, f"non-integer color {token!r}")
         if not 1 <= col <= k:
             raise FileFormatError(path, lineno, f"color {col} outside 1..{k}")
-        seen[v] = True
-        colors[v] = col
-    if k is None:
-        raise FileFormatError(path, 1, "missing header 'k <int>'")
-    if not all(seen):
-        missing = seen.index(False)
-        raise FileFormatError(path, 1, f"no color given for vertex {g.label_of(missing)}")
-    return Coloring(k, tuple(colors))
+        return col
+
+    return Coloring(k, tuple(_read_vertex_records(path, records, g, "<vertex> <color>", color)))

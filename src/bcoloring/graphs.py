@@ -50,7 +50,8 @@ class Graph:
     The constructor rejects self-loops, asymmetric adjacency and
     out-of-range neighbors, so downstream algorithms can assume a clean
     simple graph. ``labels`` is an optional display layer (one string per
-    vertex); no algorithm reads it.
+    vertex); no algorithm reads it. Files name vertices by their labels, so
+    each label is one field without whitespace, not "c", and unique.
     """
 
     __slots__ = ("n", "adj", "labels")
@@ -74,6 +75,9 @@ class Graph:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
                 raise InputError(f"expected {n} labels, got {len(labels)}")
+            fault = _label_fault(labels)
+            if fault is not None:
+                raise InputError(fault[1])
         self.n = n
         self.adj = adj
         self.labels = labels
@@ -236,28 +240,19 @@ def write_col(g: Graph, path, comment: str | None = None) -> None:
 
 def read_col(path) -> Graph:
     """Parse a .col file; attaches labels from "<path>.labels" when present."""
-    n = None
-    declared = None
+    records = _read_fields(path)
+    lineno, (_, _, n, declared) = _read_header(path, records, "p edge <n> <m>")
+    try:
+        n, declared = int(n), int(declared)
+    except ValueError:
+        raise FileFormatError(path, lineno, "non-integer problem parameters")
+    if n < 0 or declared < 0:
+        raise FileFormatError(path, lineno, "negative problem parameters")
+    if n > MAX_VERTICES:
+        raise FileFormatError(path, lineno, f"{n} vertices exceed the limit of {MAX_VERTICES}")
     edges = []
-    for lineno, parts in _read_fields(path):
-        if parts[0] == "p":
-            if n is not None:
-                raise FileFormatError(path, lineno, "duplicate problem line")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise FileFormatError(path, lineno, "expected 'p edge <n> <m>'")
-            try:
-                n, declared = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise FileFormatError(path, lineno, "non-integer problem parameters")
-            if n < 0 or declared < 0:
-                raise FileFormatError(path, lineno, "negative problem parameters")
-            if n > MAX_VERTICES:
-                raise FileFormatError(
-                    path, lineno, f"{n} vertices exceed the limit of {MAX_VERTICES}"
-                )
-        elif parts[0] == "e":
-            if n is None:
-                raise FileFormatError(path, lineno, "edge line before problem line")
+    for lineno, parts in records:
+        if parts[0] == "e":
             if len(parts) != 3:
                 raise FileFormatError(path, lineno, "expected 'e <u> <v>'")
             try:
@@ -269,14 +264,31 @@ def read_col(path) -> Graph:
             if u == v:
                 raise FileFormatError(path, lineno, f"self-loop at vertex {u}")
             edges.append((u - 1, v - 1))
+        elif parts[0] == "p":
+            raise FileFormatError(path, lineno, "duplicate problem line")
         else:
             raise FileFormatError(path, lineno, f"unknown line type {parts[0]!r}")
-    if n is None:
-        raise FileFormatError(path, 1, "missing problem line")
     if len(edges) != declared:
         raise FileFormatError(path, 1, f"declared {declared} edges, found {len(edges)}")
     labels = _read_label_sidecar(path, n)
-    return graph_from_edges(n, edges, labels)
+    try:
+        return graph_from_edges(n, edges, labels)
+    except InputError as exc:  # the edges are checked above, so a label breaks the rule
+        sidecar = str(path) + ".labels"
+        v, _ = _label_fault(labels)
+        linenos = [lineno for lineno, line in _read_lines(sidecar) if line.strip()]
+        raise FileFormatError(sidecar, linenos[v], str(exc))
+
+
+def _label_fault(labels):
+    """(vertex, reason) for the first label that cannot name its vertex in a file, or None."""
+    first = {}
+    for v, label in enumerate(labels):
+        if label.split() != [label] or label == "c":
+            return v, f"label {label!r} of vertex {v} is not one field other than 'c'"
+        if first.setdefault(label, v) != v:
+            return v, f"label {label!r} of vertex {v} is also the label of vertex {first[label]}"
+    return None
 
 
 def _read_label_sidecar(path, n):
@@ -326,6 +338,20 @@ def _read_fields(path):
             yield lineno, fields
 
 
+def _read_header(path, records, usage):
+    """(line number, fields) of the first of records, which has the fields of usage.
+
+    usage reads like "p edge <n> <m>"; a field of it in angle brackets may be
+    anything. records is left just past the header.
+    """
+    words = usage.split()
+    for lineno, fields in records:
+        if len(fields) != len(words) or any(w != f for w, f in zip(words, fields) if w[0] != "<"):
+            raise FileFormatError(path, lineno, f"expected header '{usage}'")
+        return lineno, fields
+    raise FileFormatError(path, 1, f"missing header '{usage}'")
+
+
 def _resolve_vertex(g: Graph, token, by_label, path, lineno) -> int:
     """The vertex a file names by its label (a key of by_label) or by its index."""
     if token in by_label:
@@ -337,3 +363,24 @@ def _resolve_vertex(g: Graph, token, by_label, path, lineno) -> int:
     if not 0 <= v < g.n:
         raise FileFormatError(path, lineno, f"vertex index {v} outside 0..{g.n - 1}")
     return v
+
+
+def _read_vertex_records(path, records, g: Graph, usage, parse) -> list:
+    """Each vertex's value, parse(token, lineno), from records "<vertex> <token>" naming it once."""
+    by_label = g.label_index()
+    values = [None] * g.n
+    for lineno, fields in records:
+        if len(fields) != 2:
+            raise FileFormatError(path, lineno, f"expected '{usage}'")
+        v = _resolve_vertex(g, fields[0], by_label, path, lineno)
+        if values[v] is not None:
+            raise FileFormatError(path, lineno, f"vertex {fields[0]} listed twice")
+        values[v] = parse(fields[1], lineno)
+    if None in values:
+        raise FileFormatError(path, 1, f"no line for vertex {g.label_of(values.index(None))}")
+    return values
+
+
+def _write_vertex_records(path, header, g: Graph, values) -> None:
+    """Write header, then "<label> <value>" for each vertex of g and its value."""
+    _write_lines(path, [header, *(f"{g.label_of(v)} {x}" for v, x in enumerate(values))])

@@ -16,9 +16,9 @@ import os
 from dataclasses import dataclass
 
 from .coloring import Coloring, is_colorful, is_proper
-from .errors import FileFormatError, InputError
-from .graphs import Graph, _first_meeting, _preimages, _read_fields, _resolve_vertex, _write_lines
-from .graphs import complete_graph, iter_bits, read_col
+from .errors import InputError
+from .graphs import Graph, _first_meeting, _preimages, _read_fields, _read_header, _resolve_vertex
+from .graphs import _read_vertex_records, _write_vertex_records, complete_graph, iter_bits, read_col
 from .kneser import kneser_graph
 
 
@@ -197,50 +197,38 @@ def hom_as_coloring(f: VertexMap) -> Coloring:
 # ---------------------------------------------------------------------------
 # Vertex-map files: header "map <source-file> <target-file>", then one line
 # per source vertex "<source-label> <target-label>". Graph paths are stored
-# relative to the map file and labels follow the graphs' label sidecars.
+# relative to the map file, as fields without whitespace, and labels follow
+# the graphs' label sidecars.
 
 def write_map(f: VertexMap, path, source_path, target_path) -> None:
     base = os.path.dirname(os.path.abspath(path))
-    src_rel = os.path.relpath(os.path.abspath(source_path), base)
-    tgt_rel = os.path.relpath(os.path.abspath(target_path), base)
-    lines = [f"map {src_rel} {tgt_rel}"]
-    for v in range(f.source.n):
-        lines.append(f"{f.source.label_of(v)} {f.target.label_of(f.mapping[v])}")
-    _write_lines(path, lines)
+    rel = [os.path.relpath(os.path.abspath(p), base) for p in (source_path, target_path)]
+    for p in rel:  # checked before path is opened
+        if p.split() != [p]:
+            raise InputError(f"graph path {p!r} has whitespace, so a map header cannot hold it")
+    labels = (f.target.label_of(t) for t in f.mapping)
+    _write_vertex_records(path, f"map {rel[0]} {rel[1]}", f.source, labels)
 
 
-def _map_graph_paths(path, records):
-    """The graph files named by the header among a map file's records.
+def _read_map_header(path):
+    """(source path, target path, records) of a map file.
 
     The paths are resolved against the map file's directory; records is
-    the file's _read_fields iterator, left just past the header.
+    left just past the header.
     """
+    records = _read_fields(path)
+    _, (_, source, target) = _read_header(path, records, "map <source> <target>")
     base = os.path.dirname(os.path.abspath(path))
-    for lineno, parts in records:
-        if len(parts) != 3 or parts[0] != "map":
-            raise FileFormatError(path, lineno, "expected header 'map <source> <target>'")
-        return os.path.join(base, parts[1]), os.path.join(base, parts[2])
-    raise FileFormatError(path, 1, "missing header 'map <source> <target>'")
+    return os.path.join(base, source), os.path.join(base, target), records
 
 
 def read_map(path) -> VertexMap:
-    records = _read_fields(path)
-    source_path, target_path = _map_graph_paths(path, records)
+    source_path, target_path, records = _read_map_header(path)
     source = read_col(source_path)
     target = read_col(target_path)
-    mapping = [0] * source.n
-    seen = [False] * source.n
-    by_src = source.label_index()
-    by_tgt = target.label_index()
-    for lineno, parts in records:
-        if len(parts) != 2:
-            raise FileFormatError(path, lineno, "expected '<source-vertex> <target-vertex>'")
-        v = _resolve_vertex(source, parts[0], by_src, path, lineno)
-        if seen[v]:
-            raise FileFormatError(path, lineno, f"source vertex {parts[0]} mapped twice")
-        seen[v] = True
-        mapping[v] = _resolve_vertex(target, parts[1], by_tgt, path, lineno)
-    if not all(seen):
-        missing = seen.index(False)
-        raise FileFormatError(path, 1, f"no image given for source vertex {source.label_of(missing)}")
-    return VertexMap(source, target, tuple(mapping))
+    by_label = target.label_index()
+    mapping = _read_vertex_records(
+        path, records, source, "<source-vertex> <target-vertex>",
+        lambda token, lineno: _resolve_vertex(target, token, by_label, path, lineno),
+    )
+    return VertexMap(source, target, mapping)

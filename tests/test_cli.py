@@ -187,9 +187,38 @@ def test_invalid_budget_exit_code(tmp_path, capsys):
     # A NaN deadline never passes, so it would leave the search uncapped.
     graph = tmp_path / "q3.col"
     write_col(q3(), graph)
-    for option, value in (("--seconds", "nan"), ("--budget", "-1"), ("--seconds", "-1")):
+    for option, value in (
+        ("--seconds", "nan"),
+        ("--budget", "-1"),
+        ("--seconds", "-1"),
+        ("--budget", "abc"),
+    ):
         code, out, err = run(capsys, "color", "bspectrum", "-g", str(graph), option, value)
         assert code == 3 and out == "" and "budget" in err
+
+
+def test_usage_error_exit_code(capsys):
+    # argparse's own status 2 would read as "inconclusive".
+    code, out, err = run(capsys, "kneser", "gen", "-n", "5")
+    assert code == 3 and out == "" and "usage:" in err and "required" in err
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "usage:" in out
+
+
+def test_duplicate_label_in_sidecar_exit_code(tmp_path, capsys):
+    write_col(q3(), tmp_path / "q3.col")
+    (tmp_path / "q3.col.labels").write_text("a\nb\n\nc0\nd\ne\nb\nf\ng\n")
+    code, _, err = run(capsys, "graph", "girth", "-g", str(tmp_path / "q3.col"))
+    assert code == 3
+    assert "q3.col.labels:7: label 'b' of vertex 5 is also the label of vertex 1" in err
+
+
+def test_map_path_with_whitespace_exit_code(tmp_path, capsys):
+    # A header "map <source> <target>" splits such a path in two.
+    output = str(tmp_path / "my step.map")
+    code, _, err = run(capsys, "hom", "kneser-step", "-n", "5", "-m", "2", "-o", output)
+    assert code == 3 and "whitespace" in err
+    assert not (tmp_path / "my step.map").exists()
 
 
 def test_unexpected_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -169,6 +169,8 @@ def test_k_equals_one_iff_edgeless():
 
 def test_k_above_vertex_count_never_exists():
     assert find_colorful_coloring(complete_graph(3), 4).status is SearchStatus.NOT_EXISTS
+    result = find_colorful_coloring(graph_from_edges(0, []), 1)
+    assert result.status is SearchStatus.NOT_EXISTS and result.nodes == 0
 
 
 def test_budget_exhaustion_is_inconclusive_not_refuted():

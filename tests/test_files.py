@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from bcoloring.coloring import Coloring, read_coloring, write_coloring
 from bcoloring.errors import FileFormatError
 from bcoloring.fixtures import kg73_colorful_four, q3
-from bcoloring.graphs import write_col
-from bcoloring.homomorphism import kneser_step_hom, read_map, write_map
+from bcoloring.graphs import graph_from_edges, read_col, write_col
+from bcoloring.homomorphism import VertexMap, kneser_step_hom, read_map, write_map
 from bcoloring.kneser import kneser_graph
 
 
@@ -40,11 +40,11 @@ def test_coloring_accepts_bare_indices_for_labeled_graph(tmp_path):
     "body, fragment",
     [
         ("0 1\n", "expected header"),
-        ("k 2\n0 1\n0 2\n1 2\n", "assigned twice"),
+        ("k 2\n0 1\n0 2\n1 2\n", "vertex 0 listed twice"),
         ("k 2\n0 1\n1 5\n", "outside 1..2"),
         ("k 2\n0 1\n7 1\n", "outside 0..2"),
         ("k 2\n0 1\nbogus 1\n", "unknown vertex"),
-        ("k 2\n0 1\n", "no color given"),
+        ("k 2\n0 1\n", "no line for vertex 1"),
         ("k 10001\n0 1\n1 2\n2 1\n", "limit"),
     ],
 )
@@ -104,8 +104,8 @@ def test_map_relative_paths_survive_relocation(tmp_path):
     "lines, fragment",
     [
         (["0 1"], "expected header"),
-        (["map src.col tgt.col", "0 0", "0 1"], "mapped twice"),
-        (["map src.col tgt.col", "0 0"], "no image"),
+        (["map src.col tgt.col", "0 0", "0 1"], "vertex 0 listed twice"),
+        (["map src.col tgt.col", "0 0"], "no line for vertex 1"),
         (["map src.col tgt.col", "0 9"], "outside"),
     ],
 )
@@ -210,3 +210,44 @@ def test_coloring_rejects_a_negative_color_count(tmp_path):
     path.write_text("k -1\n")
     with pytest.raises(FileFormatError, match="negative color count"):
         read_coloring(path, graph_from_edges(0, []))
+
+
+# Labels that can name a vertex in a file: one field without whitespace,
+# not "c". Surrogates are left out, as no UTF-8 file can hold them.
+_LABELS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4).filter(
+    lambda label: label.split() == [label] and label != "c"
+)
+
+
+@st.composite
+def _labeled_graphs(draw, min_n):
+    n = draw(st.integers(min_value=min_n, max_value=10))
+    pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pool))) if pool else []
+    labels = draw(st.none() | st.lists(_LABELS, min_size=n, max_size=n, unique=True))
+    return graph_from_edges(n, edges, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_writers_round_trip_through_readers(data):
+    import tempfile
+    from pathlib import Path
+
+    g = data.draw(_labeled_graphs(0))
+    h = data.draw(_labeled_graphs(1))
+    k = data.draw(st.integers(min_value=1, max_value=12))
+    c = Coloring(k, data.draw(st.lists(st.integers(1, k), min_size=g.n, max_size=g.n)))
+    f = VertexMap(g, h, data.draw(st.lists(st.integers(0, h.n - 1), min_size=g.n, max_size=g.n)))
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for graph, name in ((g, "g.col"), (h, "h.col")):
+            write_col(graph, d / name)
+            back = read_col(d / name)
+            assert back == graph and back.labels == graph.labels
+        write_coloring(c, d / "c.coloring", g)
+        assert read_coloring(d / "c.coloring", g) == c
+        write_map(f, d / "f.map", d / "g.col", d / "h.col")
+        back = read_map(d / "f.map")
+        assert back == f
+        assert back.source.labels == g.labels and back.target.labels == h.labels

@@ -64,6 +64,16 @@ def test_constructor_rejects_asymmetry_and_bad_bits():
         Graph(2, [0b100, 0b00])
 
 
+@pytest.mark.parametrize(
+    "labels, vertex",
+    [(["a", "a", "b"], "vertex 1"), (["c", "x", "y"], "vertex 0"), (["a b", "x", "y"], "vertex 0")],
+)
+def test_labels_must_name_their_vertices_in_files(labels, vertex):
+    # Each of these once wrote a coloring file that its reader rejected.
+    with pytest.raises(InputError, match=vertex):
+        Graph(3, path_graph(3).adj, labels)
+
+
 def test_petersen_structure_against_independent_construction():
     # Petersen rebuilt from raw disjoint 2-subsets of {1..5}: 3-regular,
     # every closed neighborhood has 4 vertices, girth 5, not bipartite.
@@ -153,12 +163,12 @@ def test_col_round_trip_with_labels(tmp_path):
 @pytest.mark.parametrize(
     "body, fragment",
     [
-        ("e 1 2\n", "before problem line"),
+        ("e 1 2\n", "expected header 'p edge <n> <m>'"),
         ("p edge 2 1\ne 1 3\n", "outside 1..2"),
         ("p edge 2 1\ne 1 1\n", "self-loop"),
         ("p edge 2 2\ne 1 2\n", "declared 2 edges"),
         ("p edge x 1\ne 1 2\n", "non-integer"),
-        ("q edge 2 1\n", "unknown line type"),
+        ("q edge 2 1\n", "expected header 'p edge <n> <m>'"),
         ("p edge 100000000 0\n", "exceed the limit"),
     ],
 )

@@ -165,9 +165,9 @@ def _cmd_hom_kneser_step(args):
     f = kneser_step_hom(args.n, args.m)
     source_path = str(args.output) + ".source.col"
     target_path = str(args.output) + ".target.col"
+    write_map(f, args.output, source_path, target_path)  # refuses a bad path before any write
     write_col(f.source, source_path, comment=f"Kneser graph KG({args.n + 2},{args.m + 1})")
     write_col(f.target, target_path, comment=f"Kneser graph KG({args.n},{args.m})")
-    write_map(f, args.output, source_path, target_path)
     _emit([("map", args.output), ("source", source_path), ("target", target_path)], args.json)
     return 0
 

@@ -155,46 +155,41 @@ def _backtrack(g: Graph, k: int, clock: _Clock, rank, clique=(), candidates=()):
     one more than the largest in use is never allowed; once the dominators
     hold all k colors this cap does nothing.
 
+    The state is kept per vertex: have[v] holds the colors present in
+    N[v], doms[v] the placed dominators whose closed neighborhood holds v,
+    and left[d], for a placed dominator d, the uncolored vertices in N[d].
+
     The clock ticks once per full dominator tuple (once at the start
-    without candidates) and once per color tried. All decisions live on one explicit stack, so no search depth is
-    bounded by Python's recursion limit.
+    without candidates) and once per color tried. All decisions live on
+    one explicit stack, so no search depth is bounded by Python's
+    recursion limit.
     """
     n = g.n
     full = (1 << k) - 1
     closed = [(v, *iter_bits(row)) for v, row in enumerate(g.adj)]  # N[v]
     color = [0] * n
-    nbr = [0] * n  # colors present in the open neighborhood
-    dpos = [[] for _ in range(n)]  # positions j, ascending, with v in N[doms[j]]
-    seen = [0] * k  # colors present in N[doms[j]]
-    free = [0] * k  # uncolored vertices remaining in N[doms[j]]
+    have = [0] * n
+    doms = [[] for _ in range(n)]
+    left = [0] * n
 
     def assign(v, bit):
-        """Apply the assignment; returns (undo record, still feasible)."""
+        """Apply the assignment; returns its undo record."""
         color[v] = bit.bit_length()
         touched = []
-        for u in closed[v]:  # v itself is colored now, so skipped
-            if not color[u] and not nbr[u] & bit:
-                nbr[u] |= bit
+        for u in closed[v]:
+            if not have[u] & bit:
+                have[u] |= bit
                 touched.append(u)
-        dom_hits = []
-        feasible = True
-        for j in dpos[v]:
-            added = not seen[j] & bit
-            seen[j] |= bit
-            free[j] -= 1
-            dom_hits.append((j, added))
-            if (full & ~seen[j]).bit_count() > free[j]:
-                feasible = False
-        return (v, bit, touched, dom_hits), feasible
+        for d in doms[v]:
+            left[d] -= 1
+        return v, bit, touched
 
     def undo(record):
-        v, bit, touched, dom_hits = record
+        v, bit, touched = record
         for u in touched:
-            nbr[u] ^= bit
-        for j, added in dom_hits:
-            if added:
-                seen[j] ^= bit
-            free[j] += 1
+            have[u] ^= bit
+        for d in doms[v]:
+            left[d] += 1
         color[v] = 0
 
     for i, v in enumerate(clique):
@@ -203,9 +198,9 @@ def _backtrack(g: Graph, k: int, clock: _Clock, rank, clique=(), candidates=()):
     positions = k if candidates else 0
     cand_mask = sum(1 << v for v in candidates)
     last = len(candidates) - k  # position j takes candidates[:last + j + 1]
-    # The selection key (allowed colors, -dominator positions, rank) of u as
+    # The selection key (allowed colors, -placed dominators, rank) of u as
     # one integer, allowed.bit_count() * kn + tie[u]: tie[u] is rank[u] less
-    # n for each dominator position whose neighborhood holds u.
+    # n for each placed dominator whose neighborhood holds u.
     tie = list(rank)
     kn = (k + 1) * n
     worst = (k + 1) * kn
@@ -228,10 +223,17 @@ def _backtrack(g: Graph, k: int, clock: _Clock, rank, clique=(), candidates=()):
             for u, c in enumerate(color):
                 if c:
                     continue
-                allowed = cap & ~nbr[u]
-                for j in dpos[u]:
-                    missing = full & ~seen[j]
-                    if missing.bit_count() == free[j]:
+                allowed = cap & ~have[u]
+                # Every placed dominator d keeps left[d] at least its number
+                # of missing colors: where the two are equal, u may take only
+                # a missing color, so an assignment from allowed keeps it. A
+                # placement keeps it too: the dominators' colors are pairwise
+                # distinct, so it lowers both counts by one in each earlier
+                # dominator's neighborhood that holds it, and a candidate y
+                # starts with |N[y]| - k >= 0 to spare.
+                for d in doms[u]:
+                    missing = full & ~have[d]
+                    if missing.bit_count() == left[d]:
                         allowed &= missing
                 if not allowed:
                     v, choices = u, 0
@@ -241,48 +243,30 @@ def _backtrack(g: Graph, k: int, clock: _Clock, rank, clique=(), candidates=()):
                     v, choices, v_key = u, allowed, key
             if v < 0:
                 return color
-        record = None
-        # Try the next choice of the current decision; when none is left,
-        # go back to the decision above it.
-        while True:
-            if record is not None:
-                undo(record)
-                if depth < positions:
-                    for u in closed[v]:
-                        dpos[u].pop()
-                        tie[u] += n
-            if not choices:
-                if not stack:
-                    return None
-                v, choices, record, used = stack.pop()
-                depth -= 1
-                continue
-            bit = choices & -choices
-            choices ^= bit
+        # When the current decision has no choice left, go back to the
+        # nearest decision above it that has one.
+        while not choices:
+            if not stack:
+                return None
+            v, choices, record, used = stack.pop()
+            undo(record)
+            depth -= 1
             if depth < positions:
-                v = bit.bit_length() - 1
-                bit = 1 << depth
-                present = uncolored = 0
                 for u in closed[v]:
-                    dpos[u].append(depth)
-                    tie[u] -= n
-                    if color[u]:
-                        present |= 1 << (color[u] - 1)
-                    else:
-                        uncolored += 1
-                seen[depth] = present
-                free[depth] = uncolored
-                # A placement is always feasible: the dominators' colors are
-                # pairwise distinct, so each placement lowers a dominator
-                # neighborhood's free count and its number of missing colors
-                # by one each, and the slack |N[y]| - k >= 0 of a candidate y
-                # never changes.
-            else:
-                clock.tick()
-            record, ok = assign(v, bit)
-            if ok:
-                break
-        stack.append((v, choices, record, used))
+                    doms[u].pop()
+                    tie[u] += n
+        bit = choices & -choices
+        choices ^= bit
+        if depth < positions:
+            v = bit.bit_length() - 1
+            bit = 1 << depth
+            for u in closed[v]:
+                doms[u].append(v)
+                tie[u] -= n
+            left[v] = sum(not color[u] for u in closed[v])
+        else:
+            clock.tick()
+        stack.append((v, choices, assign(v, bit), used))
         if bit >> used:
             used = bit.bit_length()
 

@@ -132,8 +132,6 @@ def graph_from_edges(n: int, edges, labels=None) -> Graph:
         u, v = edge
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
-        if u == v:
-            raise InputError(f"self-loop ({u}, {v}) is not allowed")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, adj, labels)
@@ -234,8 +232,11 @@ def write_col(g: Graph, path, comment: str | None = None) -> None:
     for u, v in g.edges():
         lines.append(f"e {u + 1} {v + 1}")
     _write_lines(path, lines)
+    sidecar = str(path) + ".labels"
     if g.labels is not None:
-        _write_lines(str(path) + ".labels", g.labels)
+        _write_lines(sidecar, g.labels)
+    elif os.path.exists(sidecar):  # it would label this graph when read back
+        os.remove(sidecar)
 
 
 def read_col(path) -> Graph:

@@ -130,7 +130,7 @@ def test_hom_step_verify_compose_lift(tmp_path, capsys):
 
 
 def test_hom_verify_refutes_non_sls_map(tmp_path, capsys):
-    from bcoloring.graphs import path_graph
+    from bcoloring.graphs import complete_graph, path_graph
     from bcoloring.homomorphism import VertexMap, write_map
 
     write_col(path_graph(3), tmp_path / "p3.col")
@@ -141,6 +141,26 @@ def test_hom_verify_refutes_non_sls_map(tmp_path, capsys):
     code, out, _ = run(capsys, "hom", "verify", "-f", str(tmp_path / "bad.map"))
     assert code == 1
     assert "sls false" in out and "reason" in out
+
+    # A proper 3-coloring of P3 as a map into K3 is a homomorphism, but
+    # vertex 2 of P3 is not adjacent to 0, the only preimage of K3's 0.
+    write_col(complete_graph(3), tmp_path / "k3.col")
+    coloring = VertexMap(path_graph(3), complete_graph(3), (0, 1, 2))
+    write_map(coloring, tmp_path / "c.map", tmp_path / "p3.col", tmp_path / "k3.col")
+    code, out, _ = run(capsys, "hom", "verify", "-f", str(tmp_path / "c.map"))
+    assert code == 1
+    assert "sls false" in out and "reason " in out and "failing 0" in out
+
+
+def test_unlabeled_fixture_over_labeled_graph(tmp_path, capsys):
+    # The fixture's graph has no labels, so the Kneser graph's sidecar must go.
+    q3_col = str(tmp_path / "q3.col")
+    code, _, _ = run(capsys, "kneser", "gen", "-n", "7", "-m", "3", "-o", q3_col)
+    assert code == 0
+    code, _, _ = run(capsys, "fixture", "q3", "-o", str(tmp_path))
+    assert code == 0
+    code, out, _ = run(capsys, "graph", "girth", "-g", q3_col)
+    assert code == 0 and "girth 4" in out
 
 
 def test_graph_predicates(tmp_path, capsys):
@@ -156,6 +176,10 @@ def test_graph_predicates(tmp_path, capsys):
     run(capsys, "fixture", "petersen", "-o", str(tmp_path))
     code, out, _ = run(capsys, "graph", "bipartite", "-g", str(tmp_path / "petersen.col"))
     assert code == 1 and "bipartite false" in out
+
+    write_col(path_graph(3), tmp_path / "p3.col")
+    code, out, _ = run(capsys, "graph", "regularity", "-g", str(tmp_path / "p3.col"))
+    assert code == 1 and "regular false" in out
 
 
 def test_malformed_file_exit_code(tmp_path, capsys):
@@ -218,7 +242,7 @@ def test_map_path_with_whitespace_exit_code(tmp_path, capsys):
     output = str(tmp_path / "my step.map")
     code, _, err = run(capsys, "hom", "kneser-step", "-n", "5", "-m", "2", "-o", output)
     assert code == 3 and "whitespace" in err
-    assert not (tmp_path / "my step.map").exists()
+    assert list(tmp_path.iterdir()) == []  # neither the map nor its graphs
 
 
 def test_unexpected_error_exit_code(tmp_path, capsys, monkeypatch):

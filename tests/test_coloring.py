@@ -181,6 +181,12 @@ def test_budget_exhaustion_is_inconclusive_not_refuted():
     assert find_colorful_coloring(heawood(), 4).status is SearchStatus.FOUND
 
 
+def test_wall_clock_cap_is_read_every_1024_nodes():
+    # KG(7,2) k=11 runs far past 1,024 nodes, where the expired deadline is read.
+    result = find_colorful_coloring(kneser_graph(7, 2).graph, 11, Budget(max_seconds=0))
+    assert (result.status, result.nodes) == (SearchStatus.BUDGET_EXCEEDED, 1024)
+
+
 def test_budget_rejects_negative_and_nan_caps():
     # NaN would never pass a deadline comparison, so it would not cap anything.
     for caps in ({"max_nodes": -1}, {"max_seconds": -1.0}, {"max_seconds": float("nan")}):

@@ -67,6 +67,16 @@ def test_coloring_error_line_numbers(tmp_path):
     assert err.value.lineno == 4
 
 
+def test_unlabeled_graph_removes_an_old_label_sidecar(tmp_path):
+    # A sidecar left by a labeled graph would label the one written over it.
+    path = tmp_path / "g.col"
+    write_col(kneser_graph(5, 2).graph, path)
+    write_col(graph_from_edges(3, [(0, 1)]), path)
+    assert read_col(path).labels is None
+    write_col(graph_from_edges(3, [(0, 1)]), path)  # no sidecar left to remove
+    assert read_col(path).labels is None
+
+
 def test_map_round_trip(tmp_path):
     f = kneser_step_hom(5, 2)
     src_path = tmp_path / "kg73.col"

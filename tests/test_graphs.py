@@ -62,6 +62,14 @@ def test_constructor_rejects_asymmetry_and_bad_bits():
         Graph(2, [0b10, 0b00])
     with pytest.raises(InputError, match="outside"):
         Graph(2, [0b100, 0b00])
+    with pytest.raises(InputError, match="self-loop at vertex 0"):
+        Graph(1, [0b1])
+    with pytest.raises(InputError, match="expected 2 adjacency rows"):
+        Graph(2, [0])
+    with pytest.raises(InputError, match="nonnegative"):
+        Graph(-1, [])
+    with pytest.raises(InputError, match="expected 2 labels"):
+        Graph(2, [0, 0], ["a"])
 
 
 @pytest.mark.parametrize(

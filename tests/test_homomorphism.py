@@ -9,6 +9,7 @@ from bcoloring.errors import InputError
 from bcoloring.fixtures import petersen, q3
 from bcoloring.graphs import complete_graph, cycle_graph, graph_from_edges, path_graph
 from bcoloring.homomorphism import (
+    SlsCertificate,
     VertexMap,
     coloring_as_hom,
     compose,
@@ -249,6 +250,25 @@ def test_lift_witnesses_come_from_the_certificate():
         a = certificate.witness[x]
         assert lifted.colors[a] == color
         assert is_b_dominating(f.source, lifted, a)
+
+
+def test_certificate_verify_rejects_each_broken_witness():
+    f = kneser_step_hom(5, 2)
+    cert = is_semi_locally_surjective(f).certificate
+    assert cert.verify(f)
+    a, around = cert.witness[0], cert.neighbor_witness[0]
+    v = next(iter(around))
+    far = next(b for b, t in enumerate(f.mapping) if t == v and not f.source.has_edge(a, b))
+    without_v = {x: b for x, b in around.items() if x != v}
+    broken = [
+        # witness[0] is a preimage of v, not of 0
+        SlsCertificate({**cert.witness, 0: f.mapping.index(v)}, cert.neighbor_witness),
+        # the neighbor witness of v is missing
+        SlsCertificate(cert.witness, {**cert.neighbor_witness, 0: without_v}),
+        # it is a preimage of v, but not adjacent to witness[0]
+        SlsCertificate(cert.witness, {**cert.neighbor_witness, 0: {**around, v: far}}),
+    ]
+    assert not any(c.verify(f) for c in broken)
 
 
 def test_lift_of_kg52_witness_is_colorful_on_kg73():

@@ -16,7 +16,7 @@ from enum import Enum
 
 from .errors import FileFormatError, InputError
 from .graphs import MAX_VERTICES, Graph, _first_meeting, _preimages, _read_fields, _read_header
-from .graphs import _read_vertex_records, _write_vertex_records, is_bipartite, iter_bits
+from .graphs import _read_vertex_records, _write_vertex_records, iter_bits
 
 
 @dataclass(frozen=True)
@@ -299,10 +299,11 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
 
     The upper bound is DSATUR (Brelaz 1979): the kernel's first descent at
     k = n, which never backtracks, since a fresh color is always allowed.
-    Each k from the greedy clique's size up is then decided by the complete
-    kernel search with the clique pre-colored; the cap on fresh colors
-    breaks color symmetry. Both rank vertices by degree, highest first,
-    then by index.
+    It colors a vertex with a colored neighbor before any without one, so
+    it 2-colors every bipartite graph. Each k from the greedy clique's size
+    (at least 3) up is then decided by the complete kernel search with the
+    clique pre-colored; the cap on fresh colors breaks color symmetry. Both
+    rank vertices by degree, highest first, then by index.
     """
     n = g.n
     if n == 0:
@@ -314,12 +315,8 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     colors = _backtrack(g, n, clock, rank)
     upper = Coloring(max(colors), tuple(colors))
     clique = greedy_clique(g)
-    for k in range(len(clique), upper.k):
-        if k == 2:
-            ok, side = is_bipartite(g)
-            colors = [s + 1 for s in side] if ok else None
-        else:
-            colors = _backtrack(g, k, clock, rank, clique)
+    for k in range(max(len(clique), 3), upper.k):
+        colors = _backtrack(g, k, clock, rank, clique)
         if colors is not None:
             return k, Coloring(k, tuple(colors))
     return upper.k, upper

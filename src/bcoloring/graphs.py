@@ -147,58 +147,51 @@ def regularity(g: Graph) -> int | None:
     return None
 
 
+def _bfs(adj, root, dist):
+    """Breadth-first search of the component of root, whose vertices have dist -1.
+
+    Fills dist there and yields, in BFS order, each edge (u, v) from a scanned
+    u to a reached v with dist[v] >= dist[u]: every non-tree edge, from its nearer end.
+    """
+    dist[root] = 0
+    queue = [root]
+    for u in queue:  # the queue grows while it is read
+        for v in iter_bits(adj[u]):
+            if dist[v] == -1:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+            elif dist[v] >= dist[u]:
+                yield u, v
+
+
 def girth(g: Graph):
     """Length of a shortest cycle, or INFINITE_GIRTH for forests.
 
-    BFS from every root; at each non-tree edge (u, v) the value
+    BFS from every root; at each yielded edge (u, v) the value
     dist[u] + dist[v] + 1 bounds a cycle through the root from above, and
     for a root lying on a shortest cycle the bound is attained, so the
-    minimum over all roots is exact.
+    minimum over all roots is exact. Edges come in BFS order, so no later
+    one beats 2 * dist[u] + 1, and a root's BFS stops when that reaches best.
     """
     best = INFINITE_GIRTH
-    dist = [0] * g.n
-    parent = [0] * g.n
     for root in range(g.n):
-        for i in range(g.n):
-            dist[i] = -1
-        dist[root] = 0
-        parent[root] = -1
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in iter_bits(g.adj[u]):
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif parent[u] != v:
-                    cand = dist[u] + dist[v] + 1
-                    if cand < best:
-                        best = cand
+        dist = [-1] * g.n
+        for u, v in _bfs(g.adj, root, dist):
+            if 2 * dist[u] + 1 >= best:
+                break
+            best = min(best, dist[u] + dist[v] + 1)
     return best
 
 
 def is_bipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
-    """(True, side per vertex) when 2-colorable, else (False, None)."""
-    side = [-1] * g.n
+    """(True, side per vertex) when 2-colorable, else (False, None); side = BFS distance mod 2."""
+    dist = [-1] * g.n
     for root in range(g.n):
-        if side[root] != -1:
-            continue
-        side[root] = 0
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in iter_bits(g.adj[u]):
-                if side[v] == -1:
-                    side[v] = side[u] ^ 1
-                    queue.append(v)
-                elif side[v] == side[u]:
+        if dist[root] == -1:
+            for u, v in _bfs(g.adj, root, dist):
+                if dist[u] == dist[v]:
                     return False, None
-    return True, tuple(side)
+    return True, tuple(d & 1 for d in dist)
 
 
 def complete_graph(k: int) -> Graph:

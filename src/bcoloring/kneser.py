@@ -37,9 +37,17 @@ class KneserGraph:
 
     def __init__(self, n: int, m: int):
         _check_params(n, m)
+        # C(n, m) >= n for m < n, so checking n first turns away only KG(n, n).
+        # Only edgeless graphs list over 10 * MAX_VERTICES members; KG(16,6) lists 48,048.
+        if n > MAX_VERTICES:
+            raise InputError(f"KG({n},{m}) has a ground set of {n}, over the limit of {MAX_VERTICES}")
         count = math.comb(n, m)
         if count > MAX_VERTICES:
             raise InputError(f"KG({n},{m}) has {count} vertices, over the limit of {MAX_VERTICES}")
+        if count * m > 10 * MAX_VERTICES:
+            raise InputError(
+                f"KG({n},{m}) has {count * m} subset members, over the limit of {10 * MAX_VERTICES}"
+            )
         ground = range(1, n + 1)
         subsets = tuple(sorted(combinations(ground, m), key=lambda s: s[::-1]))
         index = {s: i for i, s in enumerate(subsets)}

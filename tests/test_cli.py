@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 from bcoloring import cli
 from bcoloring.cli import main
@@ -200,6 +202,10 @@ def test_oversized_inputs_exit_code(tmp_path, capsys):
     assert code == 3 and "limit" in err
     code, _, err = run(capsys, "kneser", "gen", "-n", "30", "-m", "15", "-o", str(tmp_path / "kg.col"))
     assert code == 3 and "limit" in err
+    code, _, err = run(
+        capsys, "kneser", "gen", "-n", "1000000000", "-m", "500000000", "-o", str(tmp_path / "kg.col")
+    )
+    assert code == 3 and "limit" in err
     write_col(path_graph(2), tmp_path / "p2.col")
     many = tmp_path / "many.coloring"
     many.write_text("k 10001\n0 1\n1 2\n")
@@ -290,3 +296,29 @@ def test_non_utf8_label_sidecar_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "graph", "girth", "-g", str(tmp_path / "q3.col"))
     assert code == 3
     assert "q3.col.labels:3: not UTF-8 text" in err
+
+
+# The report lines each trailing comment of the README's command-line example promises.
+README_REPORTS = {
+    "girth 6": ["girth 6"],
+    "degree 3": ["degree 3"],
+    "spectrum {2,4}, not continuous": ["spectrum {2,4}", "continuous false"],
+}
+
+
+def test_readme_command_line_example_runs(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    commands = [line for line in block.splitlines() if line.startswith("bcoloring ")]
+    assert len(commands) == 15
+    promised = []
+    for line in commands:
+        command, _, comment = line.partition("#")
+        code, out, err = run(capsys, *shlex.split(command)[1:])
+        assert code == 0, (line, err)
+        if comment:
+            promised.append(comment.strip())
+            assert all(report in out for report in README_REPORTS[comment.strip()]), (line, out)
+    assert sorted(promised) == sorted(README_REPORTS)

@@ -17,7 +17,7 @@ from bcoloring.coloring import (
 )
 from bcoloring.errors import InputError
 from bcoloring.fixtures import heawood, petersen, q3
-from bcoloring.graphs import complete_graph, cycle_graph, graph_from_edges
+from bcoloring.graphs import Graph, complete_graph, cycle_graph, graph_from_edges
 from bcoloring.kneser import kneser_graph
 
 import oracles
@@ -43,6 +43,8 @@ def test_coloring_rejects_out_of_range_colors():
         Coloring(2, (1, 3))
     with pytest.raises(InputError):
         Coloring(2, (0, 1))
+    with pytest.raises(InputError):
+        Coloring(-1, ())
 
 
 def test_is_proper_triangle():
@@ -275,6 +277,8 @@ def test_b_spectrum_degenerate_graphs():
     assert sorted(b_spectrum(complete_graph(1)).spectrum) == [1]
     report = b_spectrum(graph_from_edges(5, []))
     assert sorted(report.spectrum) == [1] and report.m_bound == 1
+    with pytest.raises(InputError):
+        b_spectrum(Graph(0, []))
 
 
 def test_b_spectrum_reports_unknown_on_budget():

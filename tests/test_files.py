@@ -46,6 +46,8 @@ def test_coloring_accepts_bare_indices_for_labeled_graph(tmp_path):
         ("k 2\n0 1\nbogus 1\n", "unknown vertex"),
         ("k 2\n0 1\n", "no line for vertex 1"),
         ("k 10001\n0 1\n1 2\n2 1\n", "limit"),
+        ("k 2\n0 1 2\n", "expected '<vertex> <color>'"),
+        ("k 2\n0 x\n", "non-integer color"),
     ],
 )
 def test_coloring_malformed_files(tmp_path, body, fragment):
@@ -117,6 +119,7 @@ def test_map_relative_paths_survive_relocation(tmp_path):
         (["map src.col tgt.col", "0 0", "0 1"], "vertex 0 listed twice"),
         (["map src.col tgt.col", "0 0"], "no line for vertex 1"),
         (["map src.col tgt.col", "0 9"], "outside"),
+        (["map src.col tgt.col", "0 0 0"], "expected"),
     ],
 )
 def test_map_malformed_files(tmp_path, lines, fragment):

@@ -96,6 +96,13 @@ def test_petersen_structure_against_independent_construction():
     assert not ok and oracles.naive_has_odd_cycle(g)
 
 
+def test_named_graphs_reject_too_few_vertices():
+    with pytest.raises(InputError):
+        cycle_graph(2)
+    with pytest.raises(InputError):
+        path_graph(0)
+
+
 def test_regularity_examples():
     assert regularity(complete_graph(3)) == 2
     assert regularity(path_graph(3)) is None
@@ -178,12 +185,24 @@ def test_col_round_trip_with_labels(tmp_path):
         ("p edge x 1\ne 1 2\n", "non-integer"),
         ("q edge 2 1\n", "expected header 'p edge <n> <m>'"),
         ("p edge 100000000 0\n", "exceed the limit"),
+        ("p edge -1 0\n", "negative problem parameters"),
+        ("p edge 2 1\ne 1 2 3\n", "expected 'e <u> <v>'"),
+        ("p edge 2 1\ne 1 x\n", "non-integer endpoint"),
+        ("p edge 2 1\np edge 2 1\ne 1 2\n", "duplicate problem line"),
     ],
 )
 def test_col_malformed_files(tmp_path, body, fragment):
     path = tmp_path / "bad.col"
     path.write_text(body)
     with pytest.raises(FileFormatError, match=fragment):
+        read_col(path)
+
+
+def test_col_label_sidecar_must_label_every_vertex(tmp_path):
+    path = tmp_path / "p3.col"
+    write_col(path_graph(3), path)
+    (tmp_path / "p3.col.labels").write_text("a\nb\n")
+    with pytest.raises(FileFormatError, match="expected 3 labels, found 2"):
         read_col(path)
 
 

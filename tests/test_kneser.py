@@ -5,7 +5,7 @@ import pytest
 
 from bcoloring.coloring import chromatic_number
 from bcoloring.errors import InputError
-from bcoloring.graphs import MAX_VERTICES
+from bcoloring.graphs import MAX_VERTICES, girth, is_bipartite
 from bcoloring.kneser import format_subset, kneser_graph, lovasz_chromatic
 
 import oracles
@@ -111,6 +111,23 @@ def test_constructor_rejects_graphs_over_the_vertex_limit():
     assert math.comb(15, 7) <= MAX_VERTICES < math.comb(30, 15)
     with pytest.raises(InputError, match="limit"):
         kneser_graph(30, 15)
+    # One vertex, but a ground set over the limit.
+    with pytest.raises(InputError, match="limit"):
+        kneser_graph(MAX_VERTICES + 1, MAX_VERTICES + 1)
+    # 400 edgeless vertices listing 159,600 subset members.
+    with pytest.raises(InputError, match="limit"):
+        kneser_graph(400, 399)
+    # math.comb(10**9, 5 * 10**8) alone runs far longer than a test may wait.
+    with pytest.raises(InputError, match="limit"):
+        kneser_graph(10**9, 5 * 10**8)
+
+
+def test_odd_graph_girth():
+    # KG(2k+1, k): a triangle, the Petersen graph, then girth 6 from k = 3 on.
+    for k, want in zip(range(1, 7), (3, 5, 6, 6, 6, 6)):
+        g = kneser_graph(2 * k + 1, k).graph
+        assert girth(g) == want, k
+        assert not is_bipartite(g)[0], k
 
 
 def test_lovasz_formula_values():

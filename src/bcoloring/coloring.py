@@ -2,9 +2,10 @@
 
 Verification functions are pure reads. chromatic_number, its DSATUR upper
 bound included, and find_colorful_coloring run one exhaustive backtracker,
-_backtrack, which keeps its decisions on an explicit stack instead of
-recursing. chromatic_number has no budget (instances stay at desk scale);
-find_colorful_coloring takes a node/wall-clock budget so that a
+_backtrack, which keeps its decisions on an explicit stack, counts its
+nodes and checks its Budget in one place, and returns its status.
+chromatic_number runs it uncapped (instances stay at desk scale);
+find_colorful_coloring caps it by nodes and wall clock, so that a
 NOT_EXISTS answer always means a completed search.
 """
 
@@ -102,7 +103,7 @@ def m_degree_bound(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps on the colorful search; None means unlimited."""
+    """Caps on one kernel search, None meaning unlimited; the chromatic search runs uncapped."""
 
     max_nodes: int | None = None
     max_seconds: float | None = None
@@ -118,31 +119,14 @@ class Budget:
 DEFAULT_BUDGET = Budget(max_nodes=50_000_000, max_seconds=600.0)
 
 
-class _OutOfBudget(Exception):
-    pass
+class SearchStatus(Enum):
+    FOUND = "found"
+    NOT_EXISTS = "not_exists"
+    BUDGET_EXCEEDED = "budget_exceeded"
 
 
-class _Clock:
-    __slots__ = ("nodes", "max_nodes", "deadline")
-
-    def __init__(self, budget: Budget):
-        self.nodes = 0
-        self.max_nodes = budget.max_nodes
-        self.deadline = (
-            time.monotonic() + budget.max_seconds if budget.max_seconds is not None else None
-        )
-
-    def tick(self):
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _OutOfBudget
-        if self.deadline is not None and (self.nodes & 1023) == 0:
-            if time.monotonic() > self.deadline:
-                raise _OutOfBudget
-
-
-def _backtrack(g: Graph, k: int, clock: _Clock, rank, clique=(), candidates=()):
-    """Colors 1..k for every vertex (a list indexed by vertex), or None.
+def _backtrack(g: Graph, k: int, budget: Budget, rank, clique=(), candidates=()):
+    """(status, colors, nodes): colors 1..k for every vertex when FOUND, else None.
 
     The clique vertices take colors 1, 2, ... up front. With candidates,
     the first k decisions choose the dominators: the ascending k-tuples of
@@ -159,11 +143,16 @@ def _backtrack(g: Graph, k: int, clock: _Clock, rank, clique=(), candidates=()):
     N[v], doms[v] the placed dominators whose closed neighborhood holds v,
     and left[d], for a placed dominator d, the uncolored vertices in N[d].
 
-    The clock ticks once per full dominator tuple (once at the start
-    without candidates) and once per color tried. All decisions live on
-    one explicit stack, so no search depth is bounded by Python's
-    recursion limit.
+    A node is a choice taken at the last dominator position or below it:
+    one per full dominator tuple and one per color tried. The search ends
+    BUDGET_EXCEEDED at the first node past budget.max_nodes, or at a
+    multiple of 1,024 nodes reached past the deadline. All decisions live
+    on one explicit stack, so no depth is bounded by the recursion limit.
     """
+    inf = float("inf")
+    max_nodes = inf if budget.max_nodes is None else budget.max_nodes
+    deadline = time.monotonic() + (inf if budget.max_seconds is None else budget.max_seconds)
+    nodes = 0
     n = g.n
     full = (1 << k) - 1
     closed = [(v, *iter_bits(row)) for v, row in enumerate(g.adj)]  # N[v]
@@ -214,8 +203,6 @@ def _backtrack(g: Graph, k: int, clock: _Clock, rank, clique=(), candidates=()):
             after = stack[-1][0] + 1 if depth else 0
             choices = cand_mask & -(1 << after) & ((2 << candidates[last + depth]) - 1)
         else:
-            if depth == positions:
-                clock.tick()
             cap = (1 << (used + 1 if used < k else k)) - 1
             v = -1
             choices = 0
@@ -242,12 +229,12 @@ def _backtrack(g: Graph, k: int, clock: _Clock, rank, clique=(), candidates=()):
                 if key < v_key:
                     v, choices, v_key = u, allowed, key
             if v < 0:
-                return color
+                return SearchStatus.FOUND, color, nodes
         # When the current decision has no choice left, go back to the
         # nearest decision above it that has one.
         while not choices:
             if not stack:
-                return None
+                return SearchStatus.NOT_EXISTS, None, nodes
             v, choices, record, used = stack.pop()
             undo(record)
             depth -= 1
@@ -257,6 +244,10 @@ def _backtrack(g: Graph, k: int, clock: _Clock, rank, clique=(), candidates=()):
                     tie[u] += n
         bit = choices & -choices
         choices ^= bit
+        if depth >= positions - 1:
+            nodes += 1
+            if nodes > max_nodes or not nodes & 1023 and time.monotonic() > deadline:
+                return SearchStatus.BUDGET_EXCEEDED, None, nodes
         if depth < positions:
             v = bit.bit_length() - 1
             bit = 1 << depth
@@ -264,8 +255,6 @@ def _backtrack(g: Graph, k: int, clock: _Clock, rank, clique=(), candidates=()):
                 doms[u].append(v)
                 tie[u] -= n
             left[v] = sum(not color[u] for u in closed[v])
-        else:
-            clock.tick()
         stack.append((v, choices, assign(v, bit), used))
         if bit >> used:
             used = bit.bit_length()
@@ -275,9 +264,16 @@ def _backtrack(g: Graph, k: int, clock: _Clock, rank, clique=(), candidates=()):
 # Exact chromatic number
 
 def greedy_clique(g: Graph) -> list[int]:
-    """Deterministic greedy clique, used only as a lower bound / seed."""
+    """Deterministic greedy clique, used only as a lower bound / seed.
+
+    A clique grown from a seed of degree d has at most d + 1 vertices, and
+    only a strictly larger clique replaces best, so a seed of degree below
+    len(best) is skipped without changing the result.
+    """
     best: list[int] = []
     for seed in range(g.n):
+        if g.adj[seed].bit_count() < len(best):
+            continue
         clique = [seed]
         cand = g.adj[seed]
         while cand:
@@ -311,12 +307,11 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     rank = [0] * n
     for i, u in enumerate(sorted(range(n), key=lambda u: (-g.adj[u].bit_count(), u))):
         rank[u] = i
-    clock = _Clock(Budget())
-    colors = _backtrack(g, n, clock, rank)
+    _, colors, _ = _backtrack(g, n, Budget(), rank)
     upper = Coloring(max(colors), tuple(colors))
     clique = greedy_clique(g)
     for k in range(max(len(clique), 3), upper.k):
-        colors = _backtrack(g, k, clock, rank, clique)
+        _, colors, _ = _backtrack(g, k, Budget(), rank, clique)
         if colors is not None:
             return k, Coloring(k, tuple(colors))
     return upper.k, upper
@@ -324,12 +319,6 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
 
 # ---------------------------------------------------------------------------
 # Exhaustive colorful k-coloring search
-
-class SearchStatus(Enum):
-    FOUND = "found"
-    NOT_EXISTS = "not_exists"
-    BUDGET_EXCEEDED = "budget_exceeded"
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -359,7 +348,6 @@ def find_colorful_coloring(g: Graph, k: int, budget: Budget | None = None) -> Se
     """
     if k < 1:
         raise InputError("k must be at least 1")
-    clock = _Clock(budget if budget is not None else DEFAULT_BUDGET)
     n = g.n
     candidates = [v for v in range(n) if g.adj[v].bit_count() >= k - 1]
     if len(candidates) < k:  # every k > n included
@@ -369,16 +357,11 @@ def find_colorful_coloring(g: Graph, k: int, budget: Budget | None = None) -> Se
         if g.edge_count() == 0:
             return SearchResult(SearchStatus.FOUND, Coloring(1, (1,) * n))
         return SearchResult(SearchStatus.NOT_EXISTS)
-    try:
-        colors = _backtrack(g, k, clock, range(n), candidates=candidates)
-    except _OutOfBudget:
-        return SearchResult(SearchStatus.BUDGET_EXCEEDED, None, clock.nodes)
-    if colors is None:
-        return SearchResult(SearchStatus.NOT_EXISTS, None, clock.nodes)
-    coloring = Coloring(k, tuple(colors))
-    ok, _ = is_colorful(g, coloring)
-    assert ok, "search returned a non-colorful coloring"
-    return SearchResult(SearchStatus.FOUND, coloring, clock.nodes)
+    budget = budget if budget is not None else DEFAULT_BUDGET
+    status, colors, nodes = _backtrack(g, k, budget, range(n), candidates=candidates)
+    coloring = Coloring(k, tuple(colors)) if colors is not None else None
+    assert coloring is None or is_colorful(g, coloring)[0], "search returned a non-colorful coloring"
+    return SearchResult(status, coloring, nodes)
 
 
 # ---------------------------------------------------------------------------

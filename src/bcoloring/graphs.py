@@ -167,16 +167,28 @@ def _bfs(adj, root, dist):
 def girth(g: Graph):
     """Length of a shortest cycle, or INFINITE_GIRTH for forests.
 
-    BFS from every root; at each yielded edge (u, v) the value
+    Every cycle lies in the 2-core (what is left after repeatedly deleting
+    vertices of degree at most 1), so trees and tails are peeled off first.
+    BFS from every core root; at each yielded edge (u, v) the value
     dist[u] + dist[v] + 1 bounds a cycle through the root from above, and
     for a root lying on a shortest cycle the bound is attained, so the
     minimum over all roots is exact. Edges come in BFS order, so no later
     one beats 2 * dist[u] + 1, and a root's BFS stops when that reaches best.
     """
+    degree = [row.bit_count() for row in g.adj]
+    core = (1 << g.n) - 1
+    peel = [v for v, d in enumerate(degree) if d < 2]
+    for v in peel:  # the list grows while it is read; each vertex joins it once
+        core ^= 1 << v
+        for u in iter_bits(g.adj[v] & core):
+            degree[u] -= 1
+            if degree[u] == 1:
+                peel.append(u)
+    adj = [row & core for row in g.adj]
     best = INFINITE_GIRTH
-    for root in range(g.n):
+    for root in iter_bits(core):
         dist = [-1] * g.n
-        for u, v in _bfs(g.adj, root, dist):
+        for u, v in _bfs(adj, root, dist):
             if 2 * dist[u] + 1 >= best:
                 break
             best = min(best, dist[u] + dist[v] + 1)

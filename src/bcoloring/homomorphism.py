@@ -3,7 +3,8 @@
 A vertex map f: G -> H is SLS when it is a surjective homomorphism and
 every target vertex u has a preimage witness a such that every target
 neighbor v of u has a preimage b adjacent to a. Verification returns a
-full certificate because coloring lifts consume the witnesses.
+full certificate that SlsCertificate.verify re-checks; lift_coloring uses
+only the verdict and re-checks its lift with is_colorful.
 
 Also here: the explicit KG(n+2, m+1) -> KG(n, m) step homomorphism, map
 composition, coloring lifting along an SLS map, and the bridge between

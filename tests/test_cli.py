@@ -154,6 +154,32 @@ def test_hom_verify_refutes_non_sls_map(tmp_path, capsys):
     assert "sls false" in out and "reason " in out and "failing 0" in out
 
 
+def test_verify_reports_every_check_when_the_strongest_fails(tmp_path, capsys):
+    # The weaker checks run only when the SLS or colorful check fails, so
+    # pin their lines for maps and colorings that pass them and fail it.
+    from bcoloring.graphs import cycle_graph, graph_from_edges
+    from bcoloring.homomorphism import VertexMap, write_map
+
+    two_edges = graph_from_edges(4, [(0, 1), (2, 3)])
+    write_col(two_edges, tmp_path / "2k2.col")
+    write_col(path_graph(3), tmp_path / "p3.col")
+    # A surjective homomorphism onto P3, but no preimage of 1 sees both ends.
+    f = VertexMap(two_edges, path_graph(3), (0, 1, 2, 1))
+    write_map(f, tmp_path / "f.map", tmp_path / "2k2.col", tmp_path / "p3.col")
+    code, out, _ = run(capsys, "hom", "verify", "-f", str(tmp_path / "f.map"))
+    assert code == 1
+    assert "homomorphism true" in out and "surjective true" in out and "sls false" in out
+
+    c6 = cycle_graph(6)
+    write_col(c6, tmp_path / "c6.col")
+    for colors, proper in (((1, 2, 1, 2, 1, 3), "true"), ((1, 1, 2, 2, 1, 2), "false")):
+        write_coloring(Coloring(max(colors), colors), tmp_path / "c.coloring", c6)
+        argv = ["color", "verify", "-g", str(tmp_path / "c6.col"), "-c", str(tmp_path / "c.coloring")]
+        code, out, _ = run(capsys, *argv, "--colorful")
+        assert code == 1
+        assert f"proper {proper}" in out and "colorful false" in out and "witness" not in out
+
+
 def test_unlabeled_fixture_over_labeled_graph(tmp_path, capsys):
     # The fixture's graph has no labels, so the Kneser graph's sidecar must go.
     q3_col = str(tmp_path / "q3.col")

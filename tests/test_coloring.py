@@ -1,3 +1,4 @@
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -356,3 +357,55 @@ def test_chromatic_witnesses_are_pinned(make_graph, chi, colors):
     # Ties between equally constrained vertices go to higher degree, then
     # lower index; breaking them by index alone gives other witnesses here.
     assert chromatic_number(make_graph()) == (chi, Coloring(chi, colors))
+
+
+def test_chromatic_number_of_a_large_clique():
+    # Every seed after the first has degree below the clique already found,
+    # so greedy_clique grows one clique instead of one per vertex.
+    chi, witness = chromatic_number(complete_graph(500))
+    assert chi == 500 and witness.colors == tuple(range(1, 501))
+
+
+def kernel_rows(n):
+    """One text row per kernel result on the networkx atlas graphs with n vertices.
+
+    Per graph: its edges, chi and its witness, then for k = 1..n+1, without
+    a budget and at 5 nodes, the colorful search's status, nodes and
+    witness. To diff two commits, print the rows at each:
+    PYTHONPATH=src:tests python -c "import test_coloring as t; print(*t.kernel_rows(7), sep='\\n')"
+    """
+    from networkx.generators.atlas import graph_atlas_g
+
+    rows = []
+    for nxg in graph_atlas_g():
+        if nxg.number_of_nodes() != n:
+            continue
+        g = graph_from_edges(n, list(nxg.edges()))
+        chi, witness = chromatic_number(g)
+        rows.append(f"{g.edges()} chi {chi} {witness.colors}")
+        for k in range(1, n + 2):
+            for cap in (None, 5):
+                result = find_colorful_coloring(g, k, Budget(max_nodes=cap) if cap is not None else None)
+                colors = result.coloring.colors if result.coloring is not None else None
+                rows.append(f"k={k} cap={cap} {result.status.name} {result.nodes} {colors}")
+    return rows
+
+
+# SHA-256 of "\n".join(kernel_rows(n)): 1,252 graphs and 20,706 rows in all.
+_KERNEL_ROW_DIGESTS = {
+    1: "8bec8068120f33b2b4102b3e9bc4f6b20d4c59986e6c4a80ce5bb20b76eb4b8e",
+    2: "97ec0e7683a954c43707d553426ebeaba5b058bc8ad73b4e2b7aa7712207559c",
+    3: "c0abb6aef9811e701c3e6ed4fcf717b4c61d306ccb5ab376368ab1142f822796",
+    4: "1afd6b9fd94ff152115688b7706476eca357b8a3a392d9db14ca7ea4036eb50a",
+    5: "e90d6ad05b7a7f4d4fa40ef022f892e0d7dcac467b370f44cb784a26c318c061",
+    6: "b7790b3af60e3392addde96760e0bdead39f714f8027d7cbee93d7d621fdabe7",
+    7: "5035212b5b235807f0f0a0de7bb4201436d64d057933fd9ab08acb61c82e907d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_KERNEL_ROW_DIGESTS))
+def test_kernel_results_are_pinned_on_the_atlas(n):
+    # Verdicts, node counts and witnesses change only if the search order,
+    # the node definition or the budget rule does.
+    pytest.importorskip("networkx")
+    assert hashlib.sha256("\n".join(kernel_rows(n)).encode()).hexdigest() == _KERNEL_ROW_DIGESTS[n]

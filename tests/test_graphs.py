@@ -151,6 +151,17 @@ def test_bipartite_matches_partition_and_odd_cycle_oracles(g):
         assert all(sides[u] != sides[v] for u, v in g.edges())
 
 
+@pytest.mark.parametrize("tail", [False, True])
+def test_girth_peels_long_trees_and_tails(tail):
+    # Peeling to the 2-core removes the whole path, or all of the tail but
+    # the triangle, before any BFS; a BFS from every vertex took seconds
+    # at a fifth of this size.
+    n = 10_000
+    cycle = [(0, 2)] if tail else []
+    g = graph_from_edges(n, cycle + [(v, v + 1) for v in range(n - 1)])
+    assert girth(g) == (3 if tail else INFINITE_GIRTH)
+
+
 def test_girth_oracle_agreement_up_to_ten_vertices():
     rng = random.Random(101)
     for _ in range(60):

@@ -141,7 +141,21 @@ def _backtrack(g: Graph, k: int, budget: Budget, rank, clique=(), candidates=())
 
     The state is kept per vertex: have[v] holds the colors present in
     N[v], doms[v] the placed dominators whose closed neighborhood holds v,
-    and left[d], for a placed dominator d, the uncolored vertices in N[d].
+    and slack[d], for a placed dominator d, the uncolored vertices in N[d]
+    less the colors N[d] misses; d is tight when slack[d] is 0. An
+    assignment to v lowers slack[d] for each d in doms[v] whose
+    neighborhood already had v's color, and changes no other slack.
+
+    A decision looks only at the frontier, front[:nfront], the uncolored
+    vertices with a colored neighbor (where[u] is u's slot in it). That
+    finds the same vertex as a scan of all uncolored vertices: an uncolored
+    u outside the frontier has have[u] = 0, lies in no placed dominator's
+    neighborhood (dominators are colored), and so allows every color under
+    the cap, while a frontier vertex sees a color in use, which is under
+    the cap, and allows fewer. So the least key, and every vertex with no
+    allowed color, lies in the frontier when it is not empty; keys are
+    distinct because rank is a permutation. An empty frontier starts a new
+    component, at its uncolored vertex of least rank, found by one scan.
 
     A node is a choice taken at the last dominator position or below it:
     one per full dominator tuple and one per color tried. The search ends
@@ -159,27 +173,55 @@ def _backtrack(g: Graph, k: int, budget: Budget, rank, clique=(), candidates=())
     color = [0] * n
     have = [0] * n
     doms = [[] for _ in range(n)]
-    left = [0] * n
+    slack = [0] * n
+    front = [0] * n
+    where = [0] * n
+    nfront = 0
 
     def assign(v, bit):
         """Apply the assignment; returns its undo record."""
+        nonlocal nfront
         color[v] = bit.bit_length()
-        touched = []
-        for u in closed[v]:
-            if not have[u] & bit:
-                have[u] |= bit
-                touched.append(u)
         for d in doms[v]:
-            left[d] -= 1
-        return v, bit, touched
+            if have[d] & bit:
+                slack[d] -= 1
+        slot = moved = -1
+        if have[v]:  # v leaves the frontier; the last entry moves to its slot
+            slot = where[v]
+            nfront -= 1
+            moved = front[nfront]
+            front[slot] = moved
+            where[moved] = slot
+        end = nfront
+        have[v] |= bit  # no neighbor of v has its color, so this sets it; v is skipped below
+        touched = [v]
+        for u in closed[v]:
+            h = have[u]
+            if not h & bit:
+                if not h:  # u has its first colored neighbor
+                    front[nfront] = u
+                    where[u] = nfront
+                    nfront += 1
+                have[u] = h | bit
+                touched.append(u)
+        return v, bit, touched, slot, moved, end
 
     def undo(record):
-        v, bit, touched = record
+        nonlocal nfront
+        v, bit, touched, slot, moved, end = record
         for u in touched:
             have[u] ^= bit
         for d in doms[v]:
-            left[d] += 1
+            if have[d] & bit:
+                slack[d] += 1
         color[v] = 0
+        nfront = end
+        if slot >= 0:  # v goes back to its slot, moved back to the end
+            front[end] = moved
+            where[moved] = end
+            front[slot] = v
+            where[v] = slot
+            nfront += 1
 
     for i, v in enumerate(clique):
         assign(v, 1 << i)
@@ -207,29 +249,30 @@ def _backtrack(g: Graph, k: int, budget: Budget, rank, clique=(), candidates=())
             v = -1
             choices = 0
             v_key = worst
-            for u, c in enumerate(color):
-                if c:
-                    continue
+            for u in front[:nfront]:
                 allowed = cap & ~have[u]
-                # Every placed dominator d keeps left[d] at least its number
-                # of missing colors: where the two are equal, u may take only
-                # a missing color, so an assignment from allowed keeps it. A
-                # placement keeps it too: the dominators' colors are pairwise
-                # distinct, so it lowers both counts by one in each earlier
-                # dominator's neighborhood that holds it, and a candidate y
-                # starts with |N[y]| - k >= 0 to spare.
+                # Every placed dominator d keeps slack[d] >= 0: where it is
+                # 0, u may take only a color N[d] misses, so an assignment
+                # from allowed keeps it (allowed is within full). A placement
+                # keeps it too: the dominators' colors are pairwise distinct,
+                # so it leaves each earlier dominator's slack as it was, and
+                # a candidate y starts with |N[y]| - k >= 0.
                 for d in doms[u]:
-                    missing = full & ~have[d]
-                    if missing.bit_count() == left[d]:
-                        allowed &= missing
+                    if not slack[d]:
+                        allowed &= ~have[d]
                 if not allowed:
                     v, choices = u, 0
                     break
                 key = allowed.bit_count() * kn + tie[u]
                 if key < v_key:
                     v, choices, v_key = u, allowed, key
-            if v < 0:
-                return SearchStatus.FOUND, color, nodes
+            if not nfront:  # tie[u] is rank[u] for every uncolored u
+                for u, c in enumerate(color):
+                    if not c and tie[u] < v_key:
+                        v, v_key = u, tie[u]
+                if v < 0:
+                    return SearchStatus.FOUND, color, nodes
+                choices = cap
         # When the current decision has no choice left, go back to the
         # nearest decision above it that has one.
         while not choices:
@@ -254,7 +297,7 @@ def _backtrack(g: Graph, k: int, budget: Budget, rank, clique=(), candidates=())
             for u in closed[v]:
                 doms[u].append(v)
                 tie[u] -= n
-            left[v] = sum(not color[u] for u in closed[v])
+            slack[v] = sum(not color[u] for u in closed[v]) - (full & ~have[v]).bit_count()
         stack.append((v, choices, assign(v, bit), used))
         if bit >> used:
             used = bit.bit_length()

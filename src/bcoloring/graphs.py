@@ -169,11 +169,14 @@ def girth(g: Graph):
 
     Every cycle lies in the 2-core (what is left after repeatedly deleting
     vertices of degree at most 1), so trees and tails are peeled off first.
-    BFS from every core root; at each yielded edge (u, v) the value
-    dist[u] + dist[v] + 1 bounds a cycle through the root from above, and
-    for a root lying on a shortest cycle the bound is attained, so the
-    minimum over all roots is exact. Edges come in BFS order, so no later
-    one beats 2 * dist[u] + 1, and a root's BFS stops when that reaches best.
+    From a BFS root, each yielded edge (u, v) closes a walk of length
+    dist[u] + dist[v] + 1 that holds a cycle, a bound from above, attained
+    when the root lies on a shortest cycle. A shortest cycle whose vertices
+    all have core degree 2 is a whole core component; one BFS per component
+    finds its length, the single edge it yields closing that cycle. Every
+    other shortest cycle passes through a core vertex of degree 3 or more,
+    so only those are BFS roots. Edges come in BFS order, so no later one
+    beats 2 * dist[u] + 1, and a root's BFS stops when that reaches best.
     """
     degree = [row.bit_count() for row in g.adj]
     core = (1 << g.n) - 1
@@ -186,7 +189,14 @@ def girth(g: Graph):
                 peel.append(u)
     adj = [row & core for row in g.adj]
     best = INFINITE_GIRTH
+    dist = [-1] * g.n
     for root in iter_bits(core):
+        if dist[root] == -1:
+            for u, v in _bfs(adj, root, dist):
+                best = min(best, dist[u] + dist[v] + 1)
+    for root in iter_bits(core):
+        if degree[root] < 3:
+            continue
         dist = [-1] * g.n
         for u, v in _bfs(adj, root, dist):
             if 2 * dist[u] + 1 >= best:

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from bcoloring.coloring import (
 )
 from bcoloring.errors import InputError
 from bcoloring.fixtures import heawood, petersen, q3
-from bcoloring.graphs import Graph, complete_graph, cycle_graph, graph_from_edges
+from bcoloring.graphs import Graph, complete_graph, cycle_graph, graph_from_edges, path_graph
 from bcoloring.kneser import kneser_graph
 
 import oracles
@@ -309,8 +310,6 @@ def test_b_spectrum_invariants_on_random_graphs(rng):
 def test_search_depth_is_not_bounded_by_the_recursion_limit(shape, k):
     # Each of the 2,000 vertices is one decision deep on the search stack,
     # twice Python's default recursion limit.
-    from bcoloring.graphs import path_graph
-
     g = path_graph(2000) if shape == "path" else cycle_graph(2000)
     result = find_colorful_coloring(g, k)
     assert result.status is SearchStatus.FOUND
@@ -324,10 +323,33 @@ def test_dominator_walk_deeper_than_the_recursion_limit():
 
 
 def test_chromatic_bound_descends_a_long_odd_cycle():
-    # The DSATUR bound colors all 2,001 vertices in one descent; k = 2 is
-    # refuted by the bipartite test, so the bound is the answer.
+    # The DSATUR bound colors all 2,001 vertices in one descent; the exact
+    # search would start at k = max(clique size, 3) = 3, which is already
+    # the bound, so the bound is the answer.
     chi, witness = chromatic_number(cycle_graph(2001))
     assert chi == 3 and is_proper(cycle_graph(2001), witness)
+
+
+def test_chromatic_number_of_a_long_path():
+    # A decision looks only at the uncolored neighbors of colored vertices,
+    # so the descent is linear; scanning every vertex per decision took 8 s.
+    g = path_graph(10_000)
+    chi, witness = chromatic_number(g)
+    assert chi == 2 and is_proper(g, witness)
+
+
+def test_colorful_search_on_a_long_path():
+    # One node for the dominator tuple, one per remaining vertex.
+    result = find_colorful_coloring(path_graph(10_000), 3)
+    assert result.status is SearchStatus.FOUND and result.nodes == 9_998
+
+
+def test_chromatic_number_of_many_components():
+    # 1,000 disjoint triangles: each starts with an empty frontier.
+    edges = [(3 * i + a, 3 * i + b) for i in range(1_000) for a, b in ((0, 1), (1, 2), (0, 2))]
+    g = graph_from_edges(3_000, edges)
+    chi, witness = chromatic_number(g)
+    assert chi == 3 and is_proper(g, witness)
 
 
 def _grotzsch():
@@ -366,28 +388,49 @@ def test_chromatic_number_of_a_large_clique():
     assert chi == 500 and witness.colors == tuple(range(1, 501))
 
 
+def _graph_rows(g):
+    """Rows for one graph: its edges, chi and its witness, then for k = 1..n+1,
+    without a budget and at 5 nodes, the colorful search's status, nodes and witness."""
+    chi, witness = chromatic_number(g)
+    rows = [f"{g.edges()} chi {chi} {witness.colors}"]
+    for k in range(1, g.n + 2):
+        for cap in (None, 5):
+            result = find_colorful_coloring(g, k, Budget(max_nodes=cap) if cap is not None else None)
+            colors = result.coloring.colors if result.coloring is not None else None
+            rows.append(f"k={k} cap={cap} {result.status.name} {result.nodes} {colors}")
+    return rows
+
+
 def kernel_rows(n):
     """One text row per kernel result on the networkx atlas graphs with n vertices.
 
-    Per graph: its edges, chi and its witness, then for k = 1..n+1, without
-    a budget and at 5 nodes, the colorful search's status, nodes and
-    witness. To diff two commits, print the rows at each:
+    To diff two commits, print the rows at each:
     PYTHONPATH=src:tests python -c "import test_coloring as t; print(*t.kernel_rows(7), sep='\\n')"
     """
     from networkx.generators.atlas import graph_atlas_g
 
+    return [row for nxg in graph_atlas_g() if nxg.number_of_nodes() == n
+            for row in _graph_rows(graph_from_edges(n, list(nxg.edges())))]
+
+
+def random_kernel_rows():
+    """kernel_rows for 200 seeded G(n, p) with 8 <= n <= 14 and p in {0.15, 0.3, 0.5, 0.7}.
+
+    Every third graph is the union of two random parts on disjoint vertex
+    sets, so the search also starts on a second component.
+    """
+    rng = random.Random(10)
     rows = []
-    for nxg in graph_atlas_g():
-        if nxg.number_of_nodes() != n:
-            continue
-        g = graph_from_edges(n, list(nxg.edges()))
-        chi, witness = chromatic_number(g)
-        rows.append(f"{g.edges()} chi {chi} {witness.colors}")
-        for k in range(1, n + 2):
-            for cap in (None, 5):
-                result = find_colorful_coloring(g, k, Budget(max_nodes=cap) if cap is not None else None)
-                colors = result.coloring.colors if result.coloring is not None else None
-                rows.append(f"k={k} cap={cap} {result.status.name} {result.nodes} {colors}")
+    for i in range(200):
+        n = rng.randint(8, 14)
+        p = rng.choice((0.15, 0.3, 0.5, 0.7))
+        if i % 3 == 2:
+            a = rng.randint(1, n - 1)
+            left, right = oracles.random_graph(rng, a, p), oracles.random_graph(rng, n - a, p)
+            g = graph_from_edges(n, left.edges() + [(a + u, a + v) for u, v in right.edges()])
+        else:
+            g = oracles.random_graph(rng, n, p)
+        rows += _graph_rows(g)
     return rows
 
 
@@ -409,3 +452,9 @@ def test_kernel_results_are_pinned_on_the_atlas(n):
     # the node definition or the budget rule does.
     pytest.importorskip("networkx")
     assert hashlib.sha256("\n".join(kernel_rows(n)).encode()).hexdigest() == _KERNEL_ROW_DIGESTS[n]
+
+
+def test_kernel_results_are_pinned_on_random_graphs():
+    # Larger than the atlas graphs, and a third of them disconnected.
+    digest = hashlib.sha256("\n".join(random_kernel_rows()).encode()).hexdigest()
+    assert digest == "e34fca73122b5c0f025e26a724bf7f9568235a525a900bcaeb643139522b5f17"

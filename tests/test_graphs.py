@@ -114,6 +114,9 @@ def test_girth_examples():
     assert girth(complete_graph(3)) == 3
     assert girth(path_graph(3)) == INFINITE_GIRTH
     assert girth(cycle_graph(6)) == 6
+    # A C7 and a C5 apart: no vertex has core degree 3, so no BFS root.
+    two_cycles = [(v, (v + 1) % 7) for v in range(7)] + [(7 + v, 7 + (v + 1) % 5) for v in range(5)]
+    assert girth(graph_from_edges(12, two_cycles)) == 5
     assert math.isinf(girth(graph_from_edges(0, [])))
 
 
@@ -160,6 +163,15 @@ def test_girth_peels_long_trees_and_tails(tail):
     cycle = [(0, 2)] if tail else []
     g = graph_from_edges(n, cycle + [(v, v + 1) for v in range(n - 1)])
     assert girth(g) == (3 if tail else INFINITE_GIRTH)
+
+
+def test_girth_of_two_triangles_joined_by_a_long_path():
+    # The path lies in the 2-core; only its two ends have core degree 3, so
+    # only they root a BFS. Rooting one at every core vertex took 9 s.
+    n = 5_006
+    path = [0, *range(6, n), 3]
+    triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    assert girth(graph_from_edges(n, triangles + list(zip(path, path[1:])))) == 3
 
 
 def test_girth_oracle_agreement_up_to_ten_vertices():

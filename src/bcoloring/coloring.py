@@ -35,12 +35,6 @@ class Coloring:
             if not 1 <= c <= self.k:
                 raise InputError(f"vertex {v} has color {c} outside 1..{self.k}")
 
-    def classes(self) -> list[list[int]]:
-        out = [[] for _ in range(self.k)]
-        for v, c in enumerate(self.colors):
-            out[c - 1].append(v)
-        return out
-
 
 def _require_total(g: Graph, c: Coloring):
     if len(c.colors) != g.n:
@@ -125,17 +119,18 @@ class SearchStatus(Enum):
     BUDGET_EXCEEDED = "budget_exceeded"
 
 
-def _backtrack(g: Graph, k: int, budget: Budget, rank, clique=(), candidates=()):
+def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
     """(status, colors, nodes): colors 1..k for every vertex when FOUND, else None.
 
-    The clique vertices take colors 1, 2, ... up front. With candidates,
+    The graph is given as closed[v] = (v, *neighbors of v). The clique
+    vertices take colors 1, 2, ... up front. With candidates,
     the first k decisions choose the dominators: the ascending k-tuples of
     candidates are walked as a prefix tree, in the order of
     itertools.combinations, position j of the tuple taking color j+1 and
     requiring every color on its closed neighborhood. Every later decision
     colors the uncolored vertex with the fewest allowed colors, ties going
     to the vertex in more dominator neighborhoods and then to the lower
-    rank, and tries its allowed colors in ascending order. A color above
+    index, and tries its allowed colors in ascending order. A color above
     one more than the largest in use is never allowed; once the dominators
     hold all k colors this cap does nothing.
 
@@ -154,8 +149,10 @@ def _backtrack(g: Graph, k: int, budget: Budget, rank, clique=(), candidates=())
     the cap, while a frontier vertex sees a color in use, which is under
     the cap, and allows fewer. So the least key, and every vertex with no
     allowed color, lies in the frontier when it is not empty; keys are
-    distinct because rank is a permutation. An empty frontier starts a new
-    component, at its uncolored vertex of least rank, found by one scan.
+    distinct because tie[u] (below) is u less a multiple of n. An empty
+    frontier starts a new component at its uncolored vertex of least index,
+    color.index(0), unless every vertex is colored: each decision on the
+    stack colored one vertex, so that is when they and the clique number n.
 
     A node is a choice taken at the last dominator position or below it:
     one per full dominator tuple and one per color tried. The search ends
@@ -167,9 +164,8 @@ def _backtrack(g: Graph, k: int, budget: Budget, rank, clique=(), candidates=())
     max_nodes = inf if budget.max_nodes is None else budget.max_nodes
     deadline = time.monotonic() + (inf if budget.max_seconds is None else budget.max_seconds)
     nodes = 0
-    n = g.n
+    n = len(closed)
     full = (1 << k) - 1
-    closed = [(v, *iter_bits(row)) for v, row in enumerate(g.adj)]  # N[v]
     color = [0] * n
     have = [0] * n
     doms = [[] for _ in range(n)]
@@ -229,10 +225,10 @@ def _backtrack(g: Graph, k: int, budget: Budget, rank, clique=(), candidates=())
     positions = k if candidates else 0
     cand_mask = sum(1 << v for v in candidates)
     last = len(candidates) - k  # position j takes candidates[:last + j + 1]
-    # The selection key (allowed colors, -placed dominators, rank) of u as
-    # one integer, allowed.bit_count() * kn + tie[u]: tie[u] is rank[u] less
-    # n for each placed dominator whose neighborhood holds u.
-    tie = list(rank)
+    # The selection key (allowed colors, -placed dominators, index) of u as
+    # one integer, allowed.bit_count() * kn + tie[u]: tie[u] is u less n for
+    # each placed dominator whose neighborhood holds u.
+    tie = list(range(n))
     kn = (k + 1) * n
     worst = (k + 1) * kn
     # The decisions above the current one, each as (vertex colored, untried
@@ -246,8 +242,10 @@ def _backtrack(g: Graph, k: int, budget: Budget, rank, clique=(), candidates=())
             choices = cand_mask & -(1 << after) & ((2 << candidates[last + depth]) - 1)
         else:
             cap = (1 << (used + 1 if used < k else k)) - 1
-            v = -1
-            choices = 0
+            if not nfront:  # a new component, or none left
+                if depth + len(clique) == n:
+                    return SearchStatus.FOUND, color, nodes
+                v, choices = color.index(0), cap
             v_key = worst
             for u in front[:nfront]:
                 allowed = cap & ~have[u]
@@ -266,13 +264,6 @@ def _backtrack(g: Graph, k: int, budget: Budget, rank, clique=(), candidates=())
                 key = allowed.bit_count() * kn + tie[u]
                 if key < v_key:
                     v, choices, v_key = u, allowed, key
-            if not nfront:  # tie[u] is rank[u] for every uncolored u
-                for u, c in enumerate(color):
-                    if not c and tie[u] < v_key:
-                        v, v_key = u, tie[u]
-                if v < 0:
-                    return SearchStatus.FOUND, color, nodes
-                choices = cap
         # When the current decision has no choice left, go back to the
         # nearest decision above it that has one.
         while not choices:
@@ -342,21 +333,24 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     it 2-colors every bipartite graph. Each k from the greedy clique's size
     (at least 3) up is then decided by the complete kernel search with the
     clique pre-colored; the cap on fresh colors breaks color symmetry. Both
-    rank vertices by degree, highest first, then by index.
+    searches run on one renumbering of g, by degree, highest first, then by
+    index, and the witness is mapped back to g's vertices.
     """
     n = g.n
     if n == 0:
         raise InputError("chromatic number is undefined for the empty graph")
-    rank = [0] * n
-    for i, u in enumerate(sorted(range(n), key=lambda u: (-g.adj[u].bit_count(), u))):
-        rank[u] = i
-    _, colors, _ = _backtrack(g, n, Budget(), rank)
-    upper = Coloring(max(colors), tuple(colors))
+    order = sorted(range(n), key=lambda u: (-g.adj[u].bit_count(), u))
+    at = [0] * n  # at[v] is v's number in the renumbering
+    for i, v in enumerate(order):
+        at[v] = i
+    closed = [(i, *(at[u] for u in iter_bits(g.adj[v]))) for i, v in enumerate(order)]
+    _, colors, _ = _backtrack(closed, n, Budget())
+    upper = Coloring(max(colors), tuple(colors[i] for i in at))
     clique = greedy_clique(g)
     for k in range(max(len(clique), 3), upper.k):
-        _, colors, _ = _backtrack(g, k, Budget(), rank, clique)
+        _, colors, _ = _backtrack(closed, k, Budget(), [at[v] for v in clique])
         if colors is not None:
-            return k, Coloring(k, tuple(colors))
+            return k, Coloring(k, tuple(colors[i] for i in at))
     return upper.k, upper
 
 
@@ -401,7 +395,8 @@ def find_colorful_coloring(g: Graph, k: int, budget: Budget | None = None) -> Se
             return SearchResult(SearchStatus.FOUND, Coloring(1, (1,) * n))
         return SearchResult(SearchStatus.NOT_EXISTS)
     budget = budget if budget is not None else DEFAULT_BUDGET
-    status, colors, nodes = _backtrack(g, k, budget, range(n), candidates=candidates)
+    closed = [(v, *iter_bits(row)) for v, row in enumerate(g.adj)]
+    status, colors, nodes = _backtrack(closed, k, budget, candidates=candidates)
     coloring = Coloring(k, tuple(colors)) if colors is not None else None
     assert coloring is None or is_colorful(g, coloring)[0], "search returned a non-colorful coloring"
     return SearchResult(status, coloring, nodes)

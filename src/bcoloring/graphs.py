@@ -257,15 +257,15 @@ def write_col(g: Graph, path, comment: str | None = None) -> None:
 def read_col(path) -> Graph:
     """Parse a .col file; attaches labels from "<path>.labels" when present."""
     records = _read_fields(path)
-    lineno, (_, _, n, declared) = _read_header(path, records, "p edge <n> <m>")
+    header, (_, _, n, declared) = _read_header(path, records, "p edge <n> <m>")
     try:
         n, declared = int(n), int(declared)
     except ValueError:
-        raise FileFormatError(path, lineno, "non-integer problem parameters")
+        raise FileFormatError(path, header, "non-integer problem parameters")
     if n < 0 or declared < 0:
-        raise FileFormatError(path, lineno, "negative problem parameters")
+        raise FileFormatError(path, header, "negative problem parameters")
     if n > MAX_VERTICES:
-        raise FileFormatError(path, lineno, f"{n} vertices exceed the limit of {MAX_VERTICES}")
+        raise FileFormatError(path, header, f"{n} vertices exceed the limit of {MAX_VERTICES}")
     edges = []
     for lineno, parts in records:
         if parts[0] == "e":
@@ -285,7 +285,7 @@ def read_col(path) -> Graph:
         else:
             raise FileFormatError(path, lineno, f"unknown line type {parts[0]!r}")
     if len(edges) != declared:
-        raise FileFormatError(path, 1, f"declared {declared} edges, found {len(edges)}")
+        raise FileFormatError(path, header, f"declared {declared} edges, found {len(edges)}")
     labels = _read_label_sidecar(path, n)
     try:
         return graph_from_edges(n, edges, labels)

@@ -35,11 +35,6 @@ def graph_with_coloring(draw, max_n=7, max_k=4):
     return graph_from_edges(n, edges), Coloring(k, tuple(colors))
 
 
-def test_coloring_classes_partition_vertices():
-    c = Coloring(3, (1, 2, 1, 3, 2))
-    assert c.classes() == [[0, 2], [1, 4], [3]]
-
-
 def test_coloring_rejects_out_of_range_colors():
     with pytest.raises(InputError):
         Coloring(2, (1, 3))
@@ -344,12 +339,23 @@ def test_colorful_search_on_a_long_path():
     assert result.status is SearchStatus.FOUND and result.nodes == 9_998
 
 
+def _disjoint_triangles(count):
+    edges = [(3 * i + a, 3 * i + b) for i in range(count) for a, b in ((0, 1), (1, 2), (0, 2))]
+    return graph_from_edges(3 * count, edges)
+
+
 def test_chromatic_number_of_many_components():
-    # 1,000 disjoint triangles: each starts with an empty frontier.
-    edges = [(3 * i + a, 3 * i + b) for i in range(1_000) for a, b in ((0, 1), (1, 2), (0, 2))]
-    g = graph_from_edges(3_000, edges)
+    # 3,333 disjoint triangles, just under MAX_VERTICES: each starts with an
+    # empty frontier, and a scan of every vertex there took 2.5 s.
+    g = _disjoint_triangles(3_333)
     chi, witness = chromatic_number(g)
     assert chi == 3 and is_proper(g, witness)
+
+
+def test_colorful_search_on_many_components():
+    # One node for the dominator tuple, one per remaining vertex.
+    result = find_colorful_coloring(_disjoint_triangles(3_333), 3)
+    assert result.status is SearchStatus.FOUND and result.nodes == 9_997
 
 
 def _grotzsch():

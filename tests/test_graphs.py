@@ -205,6 +205,7 @@ def test_col_round_trip_with_labels(tmp_path):
         ("p edge 2 1\ne 1 3\n", "outside 1..2"),
         ("p edge 2 1\ne 1 1\n", "self-loop"),
         ("p edge 2 2\ne 1 2\n", "declared 2 edges"),
+        ("c a\nc b\np edge 2 2\ne 1 2\n", ":3: declared 2 edges, found 1"),
         ("p edge x 1\ne 1 2\n", "non-integer"),
         ("q edge 2 1\n", "expected header 'p edge <n> <m>'"),
         ("p edge 100000000 0\n", "exceed the limit"),

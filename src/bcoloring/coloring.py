@@ -460,8 +460,8 @@ def b_spectrum(g: Graph, budget: Budget | None = None) -> BSpectrumReport:
 
 # ---------------------------------------------------------------------------
 # Coloring files: header "k <int>", then one line per vertex
-# "<vertex-label-or-index> <color>". Labels use the subset rendering when
-# the graph has labels; bare indices are always accepted too.
+# "<vertex-label-or-index> <color>". A token that is a label names that
+# label's vertex; any other token is read as an index.
 
 def write_coloring(c: Coloring, path, g: Graph) -> None:
     _require_total(g, c)

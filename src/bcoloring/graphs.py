@@ -67,8 +67,7 @@ class Graph:
                 raise InputError(f"vertex {v} has a neighbor outside [0, {n})")
             if (row >> v) & 1:
                 raise InputError(f"self-loop at vertex {v}")
-        for v in range(n):
-            for u in iter_bits(adj[v]):
+            for u in iter_bits(row):  # row passed the range check, so iter_bits ends
                 if not (adj[u] >> v) & 1:
                     raise InputError(f"asymmetric adjacency between {u} and {v}")
         if labels is not None:
@@ -266,7 +265,8 @@ def read_col(path) -> Graph:
         raise FileFormatError(path, header, "negative problem parameters")
     if n > MAX_VERTICES:
         raise FileFormatError(path, header, f"{n} vertices exceed the limit of {MAX_VERTICES}")
-    edges = []
+    adj = [0] * n
+    found = 0
     for lineno, parts in records:
         if parts[0] == "e":
             if len(parts) != 3:
@@ -279,21 +279,16 @@ def read_col(path) -> Graph:
                 raise FileFormatError(path, lineno, f"endpoint of ({u}, {v}) outside 1..{n}")
             if u == v:
                 raise FileFormatError(path, lineno, f"self-loop at vertex {u}")
-            edges.append((u - 1, v - 1))
+            adj[u - 1] |= 1 << (v - 1)
+            adj[v - 1] |= 1 << (u - 1)
+            found += 1
         elif parts[0] == "p":
             raise FileFormatError(path, lineno, "duplicate problem line")
         else:
             raise FileFormatError(path, lineno, f"unknown line type {parts[0]!r}")
-    if len(edges) != declared:
-        raise FileFormatError(path, header, f"declared {declared} edges, found {len(edges)}")
-    labels = _read_label_sidecar(path, n)
-    try:
-        return graph_from_edges(n, edges, labels)
-    except InputError as exc:  # the edges are checked above, so a label breaks the rule
-        sidecar = str(path) + ".labels"
-        v, _ = _label_fault(labels)
-        linenos = [lineno for lineno, line in _read_lines(sidecar) if line.strip()]
-        raise FileFormatError(sidecar, linenos[v], str(exc))
+    if found != declared:
+        raise FileFormatError(path, header, f"declared {declared} edges, found {found}")
+    return Graph(n, adj, _read_label_sidecar(path, n))
 
 
 def _label_fault(labels):
@@ -311,9 +306,14 @@ def _read_label_sidecar(path, n):
     sidecar = str(path) + ".labels"
     if not os.path.exists(sidecar):
         return None
-    labels = [line.strip() for _, line in _read_lines(sidecar) if line.strip()]
-    if len(labels) != n:
-        raise FileFormatError(sidecar, 1, f"expected {n} labels, found {len(labels)}")
+    numbered = [(lineno, line.strip()) for lineno, line in _read_lines(sidecar) if line.strip()]
+    if len(numbered) != n:
+        raise FileFormatError(sidecar, 1, f"expected {n} labels, found {len(numbered)}")
+    labels = [label for _, label in numbered]
+    fault = _label_fault(labels)
+    if fault is not None:
+        v, reason = fault
+        raise FileFormatError(sidecar, numbered[v][0], reason)
     return labels
 
 

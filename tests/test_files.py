@@ -36,6 +36,14 @@ def test_coloring_accepts_bare_indices_for_labeled_graph(tmp_path):
     assert read_coloring(path, kg.graph).colors == (1, 2, 3)
 
 
+def test_coloring_token_that_is_a_label_names_that_labels_vertex(tmp_path):
+    # Vertex 2 is labeled "0", so the token 0 names vertex 2, not vertex 0.
+    g = graph_from_edges(3, [(0, 1), (1, 2)], labels=["1", "2", "0"])
+    path = tmp_path / "p3.coloring"
+    path.write_text("k 2\n0 1\n1 2\n2 1\n")
+    assert read_coloring(path, g).colors == (2, 1, 1)
+
+
 @pytest.mark.parametrize(
     "body, fragment",
     [
@@ -154,21 +162,48 @@ def fuzz_dir(tmp_path_factory):
 
 
 def _parses_or_rejects(read, path, data, also=()):
+    """read(path) over data, or None when the file is rejected."""
     path.write_bytes(data)
     try:
-        read(path)
+        return read(path)
     except FileFormatError:
         pass
     except also:
         pass
+    return None
+
+
+def _col_edges(data):
+    """(n, 0-based edges) of the "p" and "e" lines of an accepted .col file."""
+    n, edges = None, []
+    for line in data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+        fields = line.split()
+        if fields[:1] == ["p"]:
+            n = int(fields[2])
+        elif fields[:1] == ["e"]:
+            edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
+    return n, edges
+
+
+@st.composite
+def _col_like_bytes(draw):
+    """A header, then edge lines (some out of range or loops), comments and blank lines."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    endpoint = st.integers(min_value=1, max_value=n) if n else st.just(1)
+    edge = st.tuples(st.one_of(endpoint, st.integers(0, n + 1)), endpoint).map(lambda e: b"e %d %d" % e)
+    body = draw(st.lists(st.one_of(edge, st.sampled_from([b"c", b"c e 1 2", b""])), max_size=8))
+    m = sum(line.startswith(b"e") for line in body) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    return draw(st.sampled_from([b"\n", b"\r\n", b"\r"])).join([b"p edge %d %d" % (n, m), *body])
 
 
 @settings(max_examples=300, deadline=None)
-@given(_FILE_BYTES)
+@given(st.one_of(_FILE_BYTES, _col_like_bytes()))
 def test_col_reader_fuzz(fuzz_dir, data):
-    from bcoloring.graphs import read_col
-
-    _parses_or_rejects(read_col, fuzz_dir / "fuzz.col", data)
+    # Every file the reader accepts is the graph of its own edge lines.
+    g = _parses_or_rejects(read_col, fuzz_dir / "fuzz.col", data)
+    if g is not None:
+        n, edges = _col_edges(data)
+        assert g == graph_from_edges(n, edges) and g.labels is None
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -236,3 +237,17 @@ def test_col_error_carries_line_number(tmp_path):
     with pytest.raises(FileFormatError) as err:
         read_col(path)
     assert err.value.lineno == 3
+
+
+def test_col_reader_memory_is_bounded_by_the_rows(tmp_path):
+    # Edge lines are counted, not kept, so memory is bounded by the rows, not by the file.
+    path = tmp_path / "long.col"
+    path.write_text("p edge 3 1\n" + "e 1 2\n" * 20_001)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError, match=":1: declared 1 edges, found 20001"):
+            read_col(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000

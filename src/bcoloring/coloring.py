@@ -141,18 +141,21 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
     assignment to v lowers slack[d] for each d in doms[v] whose
     neighborhood already had v's color, and changes no other slack.
 
-    A decision looks only at the frontier, front[:nfront], the uncolored
-    vertices with a colored neighbor (where[u] is u's slot in it). That
-    finds the same vertex as a scan of all uncolored vertices: an uncolored
-    u outside the frontier has have[u] = 0, lies in no placed dominator's
-    neighborhood (dominators are colored), and so allows every color under
-    the cap, while a frontier vertex sees a color in use, which is under
-    the cap, and allows fewer. So the least key, and every vertex with no
-    allowed color, lies in the frontier when it is not empty; keys are
-    distinct because tie[u] (below) is u less a multiple of n. An empty
-    frontier starts a new component at its uncolored vertex of least index,
-    color.index(0), unless every vertex is colored: each decision on the
-    stack colored one vertex, so that is when they and the clique number n.
+    A decision looks only at the frontier, the set front of uncolored
+    vertices with a colored neighbor. That finds the same vertex as a scan
+    of all uncolored vertices: an uncolored u outside the frontier has
+    have[u] = 0, lies in no placed dominator's neighborhood (dominators are
+    colored), and so allows every color under the cap, while a frontier
+    vertex sees a color in use, which is under the cap, and allows fewer.
+    So the least key, and every vertex with no allowed color, lies in the
+    frontier when it is not empty. The set's order does not matter: keys
+    are distinct, because tie[u] (below) is u less a multiple of n, so the
+    least key is one vertex in any order; and a vertex with no allowed
+    color ends the decision, which then backtracks without coloring it,
+    whichever such vertex is met first. An empty frontier starts a new
+    component at its uncolored vertex of least index, color.index(0),
+    unless every vertex is colored: each decision on the stack colored one
+    vertex, so that is when they and the clique number n.
 
     A node is a choice taken at the last dominator position or below it:
     one per full dominator tuple and one per color tried. The search ends
@@ -170,54 +173,38 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
     have = [0] * n
     doms = [[] for _ in range(n)]
     slack = [0] * n
-    front = [0] * n
-    where = [0] * n
-    nfront = 0
+    front = set()
 
     def assign(v, bit):
         """Apply the assignment; returns its undo record."""
-        nonlocal nfront
         color[v] = bit.bit_length()
         for d in doms[v]:
             if have[d] & bit:
                 slack[d] -= 1
-        slot = moved = -1
-        if have[v]:  # v leaves the frontier; the last entry moves to its slot
-            slot = where[v]
-            nfront -= 1
-            moved = front[nfront]
-            front[slot] = moved
-            where[moved] = slot
-        end = nfront
+        front.discard(v)
         have[v] |= bit  # no neighbor of v has its color, so this sets it; v is skipped below
         touched = [v]
         for u in closed[v]:
             h = have[u]
             if not h & bit:
                 if not h:  # u has its first colored neighbor
-                    front[nfront] = u
-                    where[u] = nfront
-                    nfront += 1
+                    front.add(u)
                 have[u] = h | bit
                 touched.append(u)
-        return v, bit, touched, slot, moved, end
+        return v, bit, touched
 
     def undo(record):
-        nonlocal nfront
-        v, bit, touched, slot, moved, end = record
+        v, bit, touched = record
         for u in touched:
             have[u] ^= bit
+            if not have[u]:  # u has no colored neighbor left
+                front.discard(u)
         for d in doms[v]:
             if have[d] & bit:
                 slack[d] += 1
         color[v] = 0
-        nfront = end
-        if slot >= 0:  # v goes back to its slot, moved back to the end
-            front[end] = moved
-            where[moved] = end
-            front[slot] = v
-            where[v] = slot
-            nfront += 1
+        if have[v]:  # v, uncolored again, still has a colored neighbor
+            front.add(v)
 
     for i, v in enumerate(clique):
         assign(v, 1 << i)
@@ -242,12 +229,12 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
             choices = cand_mask & -(1 << after) & ((2 << candidates[last + depth]) - 1)
         else:
             cap = (1 << (used + 1 if used < k else k)) - 1
-            if not nfront:  # a new component, or none left
+            if not front:  # a new component, or none left
                 if depth + len(clique) == n:
                     return SearchStatus.FOUND, color, nodes
                 v, choices = color.index(0), cap
             v_key = worst
-            for u in front[:nfront]:
+            for u in front:
                 allowed = cap & ~have[u]
                 # Every placed dominator d keeps slack[d] >= 0: where it is
                 # 0, u may take only a color N[d] misses, so an assignment

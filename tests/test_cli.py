@@ -277,6 +277,19 @@ def test_map_path_with_whitespace_exit_code(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # neither the map nor its graphs
 
 
+def test_compose_of_maps_that_do_not_meet_exit_code(tmp_path, capsys):
+    # step52 ends at KG(5,2), but step73 starts at KG(9,4).
+    step73 = tmp_path / "step73.map"
+    step52 = tmp_path / "step52.map"
+    assert run(capsys, "hom", "kneser-step", "-n", "7", "-m", "3", "-o", str(step73))[0] == 0
+    assert run(capsys, "hom", "kneser-step", "-n", "5", "-m", "2", "-o", str(step52))[0] == 0
+    composite = tmp_path / "composite.map"
+    code, out, err = run(capsys, "hom", "compose", "-f", str(step52), "-g", str(step73), "-o", str(composite))
+    assert code == 3 and out == ""
+    assert "cannot compose" in err
+    assert not composite.exists()
+
+
 def test_unexpected_error_exit_code(tmp_path, capsys, monkeypatch):
     # Exit 1 means "refuted", so a crash of the search must not end with it.
     def crash(*args, **kwargs):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from bcoloring.coloring import Coloring, read_coloring, write_coloring
 from bcoloring.errors import FileFormatError
 from bcoloring.fixtures import kg73_colorful_four, q3
-from bcoloring.graphs import graph_from_edges, read_col, write_col
+from bcoloring.graphs import MAX_VERTICES, graph_from_edges, read_col, write_col
 from bcoloring.homomorphism import VertexMap, kneser_step_hom, read_map, write_map
 from bcoloring.kneser import kneser_graph
 
@@ -154,10 +154,15 @@ _FILE_BYTES = st.one_of(
 )
 
 
+# The graph the .coloring and .map fuzz files name their vertices in: ten
+# vertices labeled "{1,2}" and so on, written with its labels as g.col.
+_KG52 = kneser_graph(5, 2).graph
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
-    write_col(kneser_graph(5, 2).graph, d / "g.col")
+    write_col(_KG52, d / "g.col")
     return d
 
 
@@ -173,14 +178,23 @@ def _parses_or_rejects(read, path, data, also=()):
     return None
 
 
+def _rows(data):
+    """The fields of each line of data that is neither blank nor a comment, or None if not UTF-8."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [fields for fields in map(str.split, lines) if fields and fields[0] != "c"]
+
+
 def _col_edges(data):
     """(n, 0-based edges) of the "p" and "e" lines of an accepted .col file."""
     n, edges = None, []
-    for line in data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n"):
-        fields = line.split()
-        if fields[:1] == ["p"]:
+    for fields in _rows(data):
+        if fields[0] == "p":
             n = int(fields[2])
-        elif fields[:1] == ["e"]:
+        elif fields[0] == "e":
             edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
     return n, edges
 
@@ -206,18 +220,120 @@ def test_col_reader_fuzz(fuzz_dir, data):
         assert g == graph_from_edges(n, edges) and g.labels is None
 
 
+@st.composite
+def _record_bytes(draw, header, bad_header, value, bad_value):
+    """A header, then "<vertex> <value>" lines for the vertices of KG(5,2) in a drawn order.
+
+    Each vertex is named by its label or its index, and comments and blank
+    lines fall between the records. Then up to two faults are drawn: a
+    record dropped or repeated, a vertex or a value out of range, or a bad
+    header.
+    """
+    names = _KG52.labels
+    lines = [draw(header)]
+    records = [[draw(st.sampled_from([names[v], str(v)])), draw(value)]
+               for v in draw(st.permutations(range(_KG52.n)))]
+    for fault in draw(st.lists(st.sampled_from(["drop", "repeat", "vertex", "value", "header"]), max_size=2)):
+        i = draw(st.integers(0, len(records) - 1))
+        if fault == "drop":
+            del records[i]
+        elif fault == "repeat":
+            records.insert(draw(st.integers(0, len(records))), [records[i][0], draw(value)])
+        elif fault == "vertex":
+            records[i][0] = draw(st.sampled_from(["10", "-1", "x", "{6,7}"]))
+        elif fault == "value":
+            records[i][1] = draw(bad_value)
+        else:
+            lines[0] = draw(bad_header)
+    for record in records:
+        lines += draw(st.lists(st.sampled_from(["c", "c 0 1", "", " \t"]), max_size=1))
+        lines.append(" ".join(record))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (end.join(lines) + draw(st.sampled_from(["", end]))).encode()
+
+
+# The expected results below read the formats as documented, apart from the
+# readers: a token names the vertex with that label, else the vertex with
+# that index.
+
+def _int(token):
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
+def _vertex(token, names):
+    """The vertex token names in a graph labeled names, or None."""
+    if token in names:
+        return names.index(token)
+    v = _int(token)
+    return v if v is not None and 0 <= v < len(names) else None
+
+
+def _values(rows, names):
+    """Each vertex's second field, when rows are "<vertex> <value>" naming every vertex once; else None."""
+    values = {}
+    for row in rows:
+        v = _vertex(row[0], names) if len(row) == 2 else None
+        if v is None or v in values:
+            return None
+        values[v] = row[1]
+    return [values[v] for v in range(len(names))] if len(values) == len(names) else None
+
+
+def _expected_coloring(data):
+    rows = _rows(data)
+    if not rows or len(rows[0]) != 2 or rows[0][0] != "k":
+        return None
+    k = _int(rows[0][1])
+    values = _values(rows[1:], _KG52.labels)
+    if k is None or not 0 <= k <= MAX_VERTICES or values is None:
+        return None
+    colors = [_int(token) for token in values]
+    return Coloring(k, colors) if all(c is not None and 1 <= c <= k for c in colors) else None
+
+
+def _expected_mapping(data):
+    # g.col is the only graph file the generated headers can name.
+    rows = _rows(data)
+    if not rows or rows[0] != ["map", "g.col", "g.col"]:
+        return None
+    values = _values(rows[1:], _KG52.labels)
+    images = [_vertex(token, _KG52.labels) for token in values or ()]
+    return tuple(images) if values is not None and None not in images else None
+
+
+_COLORING_BYTES = _record_bytes(
+    st.sampled_from(["k 3", "k 4", "k 5"]),
+    st.sampled_from(["k 2", "k -1", "k x", "k 10001", "k", "k 3 3", "map g.col g.col"]),
+    st.sampled_from(["1", "2", "3"]),
+    st.sampled_from(["0", "4", "-1", "x", "1 1", ""]),
+)
+_MAP_BYTES = _record_bytes(
+    st.just("map g.col g.col"),
+    st.sampled_from(["map g.col missing.col", "map missing.col g.col", "map g.col", "k 3"]),
+    st.sampled_from([*_KG52.labels, *map(str, range(_KG52.n))]),
+    st.sampled_from(["10", "-1", "x", "{6,7}", "0 0", ""]),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_FILE_BYTES)
+@given(st.one_of(_FILE_BYTES, _COLORING_BYTES))
 def test_coloring_reader_fuzz(fuzz_dir, data):
-    g = kneser_graph(5, 2).graph
-    _parses_or_rejects(lambda path: read_coloring(path, g), fuzz_dir / "fuzz.coloring", data)
+    # The reader accepts exactly the files that color every vertex once
+    # from 1..k, and reads each one's colors.
+    c = _parses_or_rejects(lambda path: read_coloring(path, _KG52), fuzz_dir / "fuzz.coloring", data)
+    assert c == _expected_coloring(data)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_FILE_BYTES)
+@given(st.one_of(_FILE_BYTES, _MAP_BYTES))
 def test_map_reader_fuzz(fuzz_dir, data):
     # A header may name a graph file that is not there.
-    _parses_or_rejects(read_map, fuzz_dir / "fuzz.map", data, also=OSError)
+    f = _parses_or_rejects(read_map, fuzz_dir / "fuzz.map", data, also=OSError)
+    assert (f and f.mapping) == _expected_mapping(data)
+    assert f is None or f.source == f.target == _KG52
 
 
 def test_comment_is_a_line_whose_first_field_is_c(tmp_path):

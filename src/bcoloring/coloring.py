@@ -176,7 +176,7 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
     front = set()
 
     def assign(v, bit):
-        """Apply the assignment; returns its undo record."""
+        """Apply the assignment; returns the vertices whose have gained bit."""
         color[v] = bit.bit_length()
         for d in doms[v]:
             if have[d] & bit:
@@ -191,10 +191,9 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
                     front.add(u)
                 have[u] = h | bit
                 touched.append(u)
-        return v, bit, touched
+        return touched
 
-    def undo(record):
-        v, bit, touched = record
+    def undo(v, bit, touched):
         for u in touched:
             have[u] ^= bit
             if not have[u]:  # u has no colored neighbor left
@@ -218,9 +217,9 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
     tie = list(range(n))
     kn = (k + 1) * n
     worst = (k + 1) * kn
-    # The decisions above the current one, each as (vertex colored, untried
-    # choices, undo record, used before it): the choices are vertex bits
-    # for a dominator position and color bits otherwise.
+    # The decisions above the current one, each as (v, bit, touched, untried
+    # choices, used before it), the first three as assign and undo take them:
+    # the choices are vertex bits for a dominator position, color bits otherwise.
     stack = []
     while True:
         depth = len(stack)
@@ -256,8 +255,8 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
         while not choices:
             if not stack:
                 return SearchStatus.NOT_EXISTS, None, nodes
-            v, choices, record, used = stack.pop()
-            undo(record)
+            v, bit, touched, choices, used = stack.pop()
+            undo(v, bit, touched)
             depth -= 1
             if depth < positions:
                 for u in closed[v]:
@@ -276,7 +275,7 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
                 doms[u].append(v)
                 tie[u] -= n
             slack[v] = sum(not color[u] for u in closed[v]) - (full & ~have[v]).bit_count()
-        stack.append((v, choices, assign(v, bit), used))
+        stack.append((v, bit, assign(v, bit), choices, used))
         if bit >> used:
             used = bit.bit_length()
 

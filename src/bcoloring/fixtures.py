@@ -1,16 +1,15 @@
 """Golden combinatorial data: the explicit colorful 4-coloring of KG(7,3)
 with its four designated b-dominating vertices, the small named graphs the
-desk checks run on, and a persisted 5-coloring of KG(7,3) found by search.
+desk checks run on, and the colorful 5-coloring of KG(7,3) the search finds.
 
 Every test that needs this data reads it from here; nothing re-types it.
 """
 
 from __future__ import annotations
 
-from importlib import resources
 from itertools import combinations
 
-from .coloring import Coloring, read_coloring
+from .coloring import Coloring, find_colorful_coloring
 from .graphs import Graph, graph_from_edges
 from .kneser import kneser_graph
 
@@ -80,11 +79,8 @@ def kg73_colorful_four() -> tuple[Coloring, tuple[int, int, int, int]]:
 
 
 def kg73_colorful_five() -> Coloring:
-    """A colorful 5-coloring of KG(7,3), found by search and persisted."""
-    kg = kneser_graph(7, 3)
-    data = resources.files(__package__) / "data" / "kg73_colorful5.coloring"
-    with resources.as_file(data) as path:
-        return read_coloring(path, kg.graph)
+    """The colorful 5-coloring of KG(7,3) that find_colorful_coloring returns."""
+    return find_colorful_coloring(kneser_graph(7, 3).graph, 5).coloring
 
 
 def petersen() -> Graph:

@@ -8,6 +8,7 @@ wall-clock allowance.
 import random
 import time
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from bcoloring.coloring import (
     is_colorful,
     is_proper,
     m_degree_bound,
+    read_coloring,
 )
 from bcoloring.fixtures import (
     KG73_CLASSES,
@@ -173,8 +175,9 @@ def test_criterion_09_kg73_five_coloring():
         pytest.skip("criterion 9 inconclusive: budget exceeded")
     ok = result.status is SearchStatus.FOUND
     ok = ok and is_colorful(kg.graph, result.coloring)[0]
-    # Persisted DERIVED fixture matches the deterministic search output.
-    ok = ok and kg73_colorful_five() == result.coloring
+    # The pinned witness, the fixture and the deterministic search agree.
+    pin = Path(__file__).resolve().parent / "data" / "kg73_colorful5.coloring"
+    ok = ok and read_coloring(pin, kg.graph) == result.coloring == kg73_colorful_five()
     ok = ok and m_degree_bound(kg.graph) == 5
     # Spectrum assembly: 3 = chi (criterion 5), 4 from the fixture
     # (criterion 1), 5 from this search, and nothing above the bound.

@@ -4,7 +4,7 @@ from pathlib import Path
 
 from bcoloring import cli
 from bcoloring.cli import main
-from bcoloring.coloring import Coloring, is_colorful, read_coloring, write_coloring
+from bcoloring.coloring import Coloring, SearchStatus, is_colorful, read_coloring, write_coloring
 from bcoloring.fixtures import q3
 from bcoloring.graphs import path_graph, read_col, write_col
 from bcoloring.kneser import kneser_graph
@@ -361,3 +361,15 @@ def test_readme_command_line_example_runs(tmp_path, capsys, monkeypatch):
             promised.append(comment.strip())
             assert all(report in out for report in README_REPORTS[comment.strip()]), (line, out)
     assert sorted(promised) == sorted(README_REPORTS)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "# Petersen: B = {3}" in block
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["report"].spectrum == {3}
+    assert namespace["result"].status is SearchStatus.FOUND

@@ -47,12 +47,14 @@ def test_collapsed_edge_is_not_a_homomorphism():
     assert not is_homomorphism(f)
     verdict = is_semi_locally_surjective(f)
     assert not verdict.ok and verdict.reason == "not a graph homomorphism"
+    assert not verdict  # a verdict is as true as its ok, so `if verdict:` reads it
 
 
 def test_sls_from_triangle_coloring():
     f = coloring_as_hom(complete_graph(3), Coloring(3, (1, 2, 3)))
     verdict = is_semi_locally_surjective(f)
     assert verdict.ok and verdict.certificate.verify(f)
+    assert verdict
 
 
 def test_sls_two_coloring_homs():
@@ -310,7 +312,7 @@ def test_lift_preserves_colorfulness_over_small_corpus():
 def test_monotone_chain_memberships_reach_kg94():
     # Every known member of B(KG(7,3)) transfers to KG(9,4) by lifting:
     # 3 from the chromatic witness, 4 from the explicit fixture, 5 from
-    # the persisted search result.
+    # the search (pinned in tests/data).
     from bcoloring.fixtures import kg73_colorful_five, kg73_colorful_four
 
     f = kneser_step_hom(7, 3)

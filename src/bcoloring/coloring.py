@@ -148,14 +148,33 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
     colored), and so allows every color under the cap, while a frontier
     vertex sees a color in use, which is under the cap, and allows fewer.
     So the least key, and every vertex with no allowed color, lies in the
-    frontier when it is not empty. The set's order does not matter: keys
-    are distinct, because tie[u] (below) is u less a multiple of n, so the
-    least key is one vertex in any order; and a vertex with no allowed
-    color ends the decision, which then backtracks without coloring it,
-    whichever such vertex is met first. An empty frontier starts a new
+    frontier when it is not empty. An empty frontier starts a new
     component at its uncolored vertex of least index, color.index(0),
     unless every vertex is colored: each decision on the stack colored one
     vertex, so that is when they and the clique number n.
+
+    Without candidates no vertex has a dominator, and have[u] lies within
+    the cap, since it holds only colors in use. So u allows exactly
+    cap.bit_count() - have[u].bit_count() colors: its saturation, the
+    number of colors it sees, is the whole key, and the chosen vertex is
+    the least-index one of greatest saturation. That search keeps the
+    uncolored vertices in buckets, bucket[s] holding as a bit mask those
+    of saturation s, and takes the lowest bit of the highest nonempty
+    bucket instead of scanning. A vertex allows no color only when it sees
+    all k colors, so such vertices fill bucket[k], whose lowest vertex
+    then has no choice. An assignment to v moves v out of its bucket and
+    each uncolored vertex whose have gained v's color up by one, and its
+    undo moves them back; the main loop makes both moves, once per node,
+    so the per-vertex loops of assign and undo serve both searches alike.
+
+    With candidates, the frontier is scanned. A tight dominator d narrows
+    the allowed colors of every vertex in N[d] at once, so the key of a
+    vertex there changes without any change to its own have, and no
+    per-vertex bucket stays current cheaply. The set's order does not
+    matter: keys are distinct, because tie[u] (below) is u less a multiple
+    of n, so the least key is one vertex in any order; and a vertex with no
+    allowed color ends the decision, which then backtracks without coloring
+    it, whichever such vertex is met first.
 
     A node is a choice taken at the last dominator position or below it:
     one per full dominator tuple and one per color tried. The search ends
@@ -205,10 +224,32 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
         if have[v]:  # v, uncolored again, still has a colored neighbor
             front.add(v)
 
+    def rebucket(v, touched):
+        """Move v and the uncolored vertices of touched between buckets.
+
+        Run after assign(v, bit) and again before its undo: both times v is
+        colored and every have in touched holds bit, so the same XORs make
+        the moves and then reverse them.
+        """
+        bucket[have[v].bit_count() - 1] ^= 1 << v
+        for u in touched:
+            if not color[u]:
+                s = have[u].bit_count()
+                b = 1 << u
+                bucket[s - 1] ^= b
+                bucket[s] ^= b
+
     for i, v in enumerate(clique):
         assign(v, 1 << i)
     used = len(clique)  # the largest color in use
     positions = k if candidates else 0
+    if not positions:
+        # bucket[s] holds, as a bit mask, the uncolored vertices u with
+        # have[u].bit_count() == s.
+        bucket = [0] * (k + 1)
+        for u in range(n):
+            if not color[u]:
+                bucket[have[u].bit_count()] |= 1 << u
     cand_mask = sum(1 << v for v in candidates)
     last = len(candidates) - k  # position j takes candidates[:last + j + 1]
     # The selection key (allowed colors, -placed dominators, index) of u as
@@ -232,30 +273,40 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
                 if depth + len(clique) == n:
                     return SearchStatus.FOUND, color, nodes
                 v, choices = color.index(0), cap
-            v_key = worst
-            for u in front:
-                allowed = cap & ~have[u]
-                # Every placed dominator d keeps slack[d] >= 0: where it is
-                # 0, u may take only a color N[d] misses, so an assignment
-                # from allowed keeps it (allowed is within full). A placement
-                # keeps it too: the dominators' colors are pairwise distinct,
-                # so it leaves each earlier dominator's slack as it was, and
-                # a candidate y starts with |N[y]| - k >= 0.
-                for d in doms[u]:
-                    if not slack[d]:
-                        allowed &= ~have[d]
-                if not allowed:
-                    v, choices = u, 0
-                    break
-                key = allowed.bit_count() * kn + tie[u]
-                if key < v_key:
-                    v, choices, v_key = u, allowed, key
+            elif not positions:
+                s = used  # no uncolored vertex sees more colors than are in use
+                while not bucket[s]:
+                    s -= 1
+                b = bucket[s]
+                v = (b & -b).bit_length() - 1
+                choices = cap & ~have[v]
+            else:
+                v_key = worst
+                for u in front:
+                    allowed = cap & ~have[u]
+                    # Every placed dominator d keeps slack[d] >= 0: where it is
+                    # 0, u may take only a color N[d] misses, so an assignment
+                    # from allowed keeps it (allowed is within full). A placement
+                    # keeps it too: the dominators' colors are pairwise distinct,
+                    # so it leaves each earlier dominator's slack as it was, and
+                    # a candidate y starts with |N[y]| - k >= 0.
+                    for d in doms[u]:
+                        if not slack[d]:
+                            allowed &= ~have[d]
+                    if not allowed:
+                        v, choices = u, 0
+                        break
+                    key = allowed.bit_count() * kn + tie[u]
+                    if key < v_key:
+                        v, choices, v_key = u, allowed, key
         # When the current decision has no choice left, go back to the
         # nearest decision above it that has one.
         while not choices:
             if not stack:
                 return SearchStatus.NOT_EXISTS, None, nodes
             v, bit, touched, choices, used = stack.pop()
+            if not positions:
+                rebucket(v, touched)
             undo(v, bit, touched)
             depth -= 1
             if depth < positions:
@@ -275,7 +326,10 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
                 doms[u].append(v)
                 tie[u] -= n
             slack[v] = sum(not color[u] for u in closed[v]) - (full & ~have[v]).bit_count()
-        stack.append((v, bit, assign(v, bit), choices, used))
+        touched = assign(v, bit)
+        stack.append((v, bit, touched, choices, used))
+        if not positions:
+            rebucket(v, touched)
         if bit >> used:
             used = bit.bit_length()
 

@@ -333,6 +333,15 @@ def test_chromatic_number_of_a_long_path():
     assert chi == 2 and is_proper(g, witness)
 
 
+def test_chromatic_number_of_the_largest_odd_graph():
+    # KG(15,7) has 6,435 vertices, and its frontier holds 1,750 of them per
+    # decision on average. The saturation buckets pick the next vertex
+    # without scanning them; the scan took 2-3 s here, the buckets 0.1-0.2 s.
+    g = kneser_graph(15, 7).graph
+    chi, witness = chromatic_number(g)
+    assert chi == 3 and is_proper(g, witness)
+
+
 def test_colorful_search_on_a_long_path():
     # One node for the dominator tuple, one per remaining vertex.
     result = find_colorful_coloring(path_graph(10_000), 3)
@@ -385,6 +394,29 @@ def test_chromatic_witnesses_are_pinned(make_graph, chi, colors):
     # Ties between equally constrained vertices go to higher degree, then
     # lower index; breaking them by index alone gives other witnesses here.
     assert chromatic_number(make_graph()) == (chi, Coloring(chi, colors))
+
+
+_WIDE_RANDOM = [(1, 60, 0.3), (5, 60, 0.3), (9, 50, 0.3), (9, 40, 0.5), (5, 50, 0.5), (9, 50, 0.5)]
+
+
+def wide_chromatic_rows():
+    """chi and the witness of chromatic_number on graphs whose frontier holds many vertices:
+    KG(10,4), KG(11,5), KG(13,6), and G(n, p) drawn by oracles.random_graph(Random(seed), n, p)."""
+    graphs = [(f"KG({m},{j})", kneser_graph(m, j).graph) for m, j in ((10, 4), (11, 5), (13, 6))]
+    graphs += [(f"G({seed},{n},{p})", oracles.random_graph(random.Random(seed), n, p))
+               for seed, n, p in _WIDE_RANDOM]
+    rows = []
+    for name, g in graphs:
+        chi, witness = chromatic_number(g)
+        rows.append(f"{name} chi {chi} {witness.colors}")
+    return rows
+
+
+def test_chromatic_witnesses_are_pinned_on_wide_frontiers():
+    # Each decision chooses among hundreds of frontier vertices here; the
+    # atlas and random-graph digests stop at 14 vertices.
+    digest = hashlib.sha256("\n".join(wide_chromatic_rows()).encode()).hexdigest()
+    assert digest == "e176b9512561cc14ce08b554a6ac2b43215bdefa8ced28e0067c1ce36765efc9"
 
 
 def test_chromatic_number_of_a_large_clique():

@@ -171,10 +171,10 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
     the allowed colors of every vertex in N[d] at once, so the key of a
     vertex there changes without any change to its own have, and no
     per-vertex bucket stays current cheaply. The set's order does not
-    matter: keys are distinct, because tie[u] (below) is u less a multiple
-    of n, so the least key is one vertex in any order; and a vertex with no
-    allowed color ends the decision, which then backtracks without coloring
-    it, whichever such vertex is met first.
+    matter: the scan keeps the least (key, index), with the key (below)
+    read off allowed and len(doms[u]), which is one vertex in any order;
+    and a vertex with no allowed color ends the decision, which then
+    backtracks without coloring it, whichever such vertex is met first.
 
     A node is a choice taken at the last dominator position or below it:
     one per full dominator tuple and one per color tried. The search ends
@@ -252,12 +252,6 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
                 bucket[have[u].bit_count()] |= 1 << u
     cand_mask = sum(1 << v for v in candidates)
     last = len(candidates) - k  # position j takes candidates[:last + j + 1]
-    # The selection key (allowed colors, -placed dominators, index) of u as
-    # one integer, allowed.bit_count() * kn + tie[u]: tie[u] is u less n for
-    # each placed dominator whose neighborhood holds u.
-    tie = list(range(n))
-    kn = (k + 1) * n
-    worst = (k + 1) * kn
     # The decisions above the current one, each as (v, bit, touched, untried
     # choices, used before it), the first three as assign and undo take them:
     # the choices are vertex bits for a dominator position, color bits otherwise.
@@ -281,23 +275,26 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
                 v = (b & -b).bit_length() - 1
                 choices = cap & ~have[v]
             else:
-                v_key = worst
+                v_key = inf
                 for u in front:
                     allowed = cap & ~have[u]
+                    du = doms[u]
                     # Every placed dominator d keeps slack[d] >= 0: where it is
                     # 0, u may take only a color N[d] misses, so an assignment
                     # from allowed keeps it (allowed is within full). A placement
                     # keeps it too: the dominators' colors are pairwise distinct,
                     # so it leaves each earlier dominator's slack as it was, and
                     # a candidate y starts with |N[y]| - k >= 0.
-                    for d in doms[u]:
+                    for d in du:
                         if not slack[d]:
                             allowed &= ~have[d]
                     if not allowed:
                         v, choices = u, 0
                         break
-                    key = allowed.bit_count() * kn + tie[u]
-                    if key < v_key:
+                    # (allowed colors, -placed dominators) as one integer: each d in du
+                    # put its own color in have[u], outside allowed, so len(du) < k.
+                    key = allowed.bit_count() * k - len(du)
+                    if key <= v_key and (key < v_key or u < v):
                         v, choices, v_key = u, allowed, key
         # When the current decision has no choice left, go back to the
         # nearest decision above it that has one.
@@ -312,7 +309,6 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
             if depth < positions:
                 for u in closed[v]:
                     doms[u].pop()
-                    tie[u] += n
         bit = choices & -choices
         choices ^= bit
         if depth >= positions - 1:
@@ -322,10 +318,12 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
         if depth < positions:
             v = bit.bit_length() - 1
             bit = 1 << depth
+            free = 0  # the uncolored vertices of N[v], v among them
             for u in closed[v]:
                 doms[u].append(v)
-                tie[u] -= n
-            slack[v] = sum(not color[u] for u in closed[v]) - (full & ~have[v]).bit_count()
+                if not color[u]:
+                    free += 1
+            slack[v] = free - (full & ~have[v]).bit_count()
         touched = assign(v, bit)
         stack.append((v, bit, touched, choices, used))
         if not positions:

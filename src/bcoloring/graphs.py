@@ -16,7 +16,10 @@ INFINITE_GIRTH = math.inf
 
 # Largest vertex count accepted from a .col header or a Kneser parameter
 # pair, checked before anything of that size is allocated. KG(15,7), with
-# 6,435 vertices, is the largest graph the command line is used on.
+# 6,435 vertices, is the largest graph the command line is used on. A Kneser
+# pair is also held to 100 * MAX_VERTICES edges, because its edge count, unlike
+# a .col file's, does not follow the size of the input; K_n = KG(n,1) is
+# turned away from n = 1,415 on.
 MAX_VERTICES = 10_000
 
 

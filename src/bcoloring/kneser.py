@@ -48,6 +48,11 @@ class KneserGraph:
             raise InputError(
                 f"KG({n},{m}) has {count * m} subset members, over the limit of {10 * MAX_VERTICES}"
             )
+        # Dense graphs pass both checks above (KG(n,1) is K_n), so cap the edges too: each vertex
+        # has C(n-m,m) neighbours. KG(16,6), with 840,840 edges, stays inside.
+        edges = count * math.comb(n - m, m) // 2
+        if edges > 100 * MAX_VERTICES:
+            raise InputError(f"KG({n},{m}) has {edges} edges, over the limit of {100 * MAX_VERTICES}")
         ground = range(1, n + 1)
         subsets = tuple(sorted(combinations(ground, m), key=lambda s: s[::-1]))
         index = {s: i for i, s in enumerate(subsets)}

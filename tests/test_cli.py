@@ -232,6 +232,11 @@ def test_oversized_inputs_exit_code(tmp_path, capsys):
         capsys, "kneser", "gen", "-n", "1000000000", "-m", "500000000", "-o", str(tmp_path / "kg.col")
     )
     assert code == 3 and "limit" in err
+    # K_10000, and the step map's source KG(141,2), each have over 47M edges.
+    code, _, err = run(capsys, "kneser", "gen", "-n", "10000", "-m", "1", "-o", str(tmp_path / "kg.col"))
+    assert code == 3 and "limit" in err
+    code, _, err = run(capsys, "hom", "kneser-step", "-n", "139", "-m", "1", "-o", str(tmp_path / "step.map"))
+    assert code == 3 and "limit" in err
     write_col(path_graph(2), tmp_path / "p2.col")
     many = tmp_path / "many.coloring"
     many.write_text("k 10001\n0 1\n1 2\n")

@@ -117,6 +117,12 @@ def test_constructor_rejects_graphs_over_the_vertex_limit():
     # 400 edgeless vertices listing 159,600 subset members.
     with pytest.raises(InputError, match="limit"):
         kneser_graph(400, 399)
+    # Dense graphs under both limits above: K_10000 has 49,995,000 edges and
+    # KG(141,2) 47,331,585; the edge count is checked before any subset is listed.
+    with pytest.raises(InputError, match="limit"):
+        kneser_graph(10_000, 1)
+    with pytest.raises(InputError, match="limit"):
+        kneser_graph(141, 2)
     # math.comb(10**9, 5 * 10**8) alone runs far longer than a test may wait.
     with pytest.raises(InputError, match="limit"):
         kneser_graph(10**9, 5 * 10**8)

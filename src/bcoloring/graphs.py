@@ -55,6 +55,12 @@ class Graph:
     simple graph. ``labels`` is an optional display layer (one string per
     vertex); no algorithm reads it. Files name vertices by their labels, so
     each label is one field without whitespace, not "c", and unique.
+
+    ``Graph(...)`` and ``graph_from_edges`` check all of this. ``read_col``,
+    ``KneserGraph`` and ``complete_graph`` build through ``Graph._built``,
+    which checks nothing: their rows are symmetric, loop-free and in range
+    by construction, and ``read_col`` has already checked its labels line
+    by line.
     """
 
     __slots__ = ("n", "adj", "labels")
@@ -83,6 +89,15 @@ class Graph:
         self.n = n
         self.adj = adj
         self.labels = labels
+
+    @classmethod
+    def _built(cls, n: int, adj, labels=None) -> Graph:
+        """A graph whose rows and labels are valid by construction; nothing is checked."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.adj = tuple(adj)
+        g.labels = None if labels is None else tuple(labels)
+        return g
 
     def check_vertex(self, v):
         if not 0 <= v < self.n:
@@ -114,6 +129,10 @@ class Graph:
     def label_of(self, v) -> str:
         self.check_vertex(v)
         return self.labels[v] if self.labels is not None else str(v)
+
+    def names(self) -> tuple[str, ...]:
+        """label_of(v) for every vertex v, in vertex order."""
+        return self.labels if self.labels is not None else tuple(map(str, range(self.n)))
 
     def label_index(self) -> dict[str, int]:
         if self.labels is None:
@@ -220,7 +239,7 @@ def is_bipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
 
 def complete_graph(k: int) -> Graph:
     full = (1 << k) - 1
-    return Graph(k, [full ^ (1 << v) for v in range(k)])
+    return Graph._built(k, [full ^ (1 << v) for v in range(k)])
 
 
 def cycle_graph(n: int) -> Graph:
@@ -271,27 +290,37 @@ def read_col(path) -> Graph:
     adj = [0] * n
     found = 0
     for lineno, parts in records:
-        if parts[0] == "e":
-            if len(parts) != 3:
-                raise FileFormatError(path, lineno, "expected 'e <u> <v>'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise FileFormatError(path, lineno, "non-integer endpoint")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise FileFormatError(path, lineno, f"endpoint of ({u}, {v}) outside 1..{n}")
-            if u == v:
-                raise FileFormatError(path, lineno, f"self-loop at vertex {u}")
-            adj[u - 1] |= 1 << (v - 1)
-            adj[v - 1] |= 1 << (u - 1)
+        try:
+            e, u, v = parts
+            u, v = int(u) - 1, int(v) - 1
+        except ValueError:
+            e = None
+        if e == "e" and 0 <= u < n and 0 <= v < n and u != v:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
             found += 1
-        elif parts[0] == "p":
-            raise FileFormatError(path, lineno, "duplicate problem line")
         else:
-            raise FileFormatError(path, lineno, f"unknown line type {parts[0]!r}")
+            raise FileFormatError(path, lineno, _body_line_fault(parts, n))
     if found != declared:
         raise FileFormatError(path, header, f"declared {declared} edges, found {found}")
-    return Graph(n, adj, _read_label_sidecar(path, n))
+    return Graph._built(n, adj, _read_label_sidecar(path, n))
+
+
+def _body_line_fault(parts, n):
+    """Why the fields of a .col line after the header are not an edge of a graph on n vertices."""
+    if parts[0] == "p":
+        return "duplicate problem line"
+    if parts[0] != "e":
+        return f"unknown line type {parts[0]!r}"
+    if len(parts) != 3:
+        return "expected 'e <u> <v>'"
+    try:
+        u, v = int(parts[1]), int(parts[2])
+    except ValueError:
+        return "non-integer endpoint"
+    if not (1 <= u <= n and 1 <= v <= n):
+        return f"endpoint of ({u}, {v}) outside 1..{n}"
+    return f"self-loop at vertex {u}"
 
 
 def _label_fault(labels):
@@ -402,4 +431,4 @@ def _read_vertex_records(path, records, g: Graph, usage, parse) -> list:
 
 def _write_vertex_records(path, header, g: Graph, values) -> None:
     """Write header, then "<label> <value>" for each vertex of g and its value."""
-    _write_lines(path, [header, *(f"{g.label_of(v)} {x}" for v, x in enumerate(values))])
+    _write_lines(path, [header, *(f"{name} {x}" for name, x in zip(g.names(), values))])

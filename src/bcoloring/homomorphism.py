@@ -207,8 +207,8 @@ def write_map(f: VertexMap, path, source_path, target_path) -> None:
     for p in rel:  # checked before path is opened
         if p.split() != [p]:
             raise InputError(f"graph path {p!r} has whitespace, so a map header cannot hold it")
-    labels = (f.target.label_of(t) for t in f.mapping)
-    _write_vertex_records(path, f"map {rel[0]} {rel[1]}", f.source, labels)
+    names = f.target.names()
+    _write_vertex_records(path, f"map {rel[0]} {rel[1]}", f.source, (names[t] for t in f.mapping))
 
 
 def _read_map_header(path):

@@ -56,7 +56,8 @@ class KneserGraph:
         ground = range(1, n + 1)
         subsets = tuple(sorted(combinations(ground, m), key=lambda s: s[::-1]))
         index = {s: i for i, s in enumerate(subsets)}
-        # The neighbours of a subset are the m-subsets of its complement.
+        # The neighbours of a subset are the m-subsets of its complement. Disjointness is symmetric
+        # and no subset (m >= 1) is disjoint from itself, so Graph._built need not check the rows.
         adj = [
             sum(1 << index[b] for b in combinations([x for x in ground if x not in s], m))
             for s in subsets
@@ -65,7 +66,7 @@ class KneserGraph:
         self.m = m
         self.subsets = subsets
         self._index = index
-        self.graph = Graph(count, adj, [format_subset(s) for s in subsets])
+        self.graph = Graph._built(count, adj, [format_subset(s) for s in subsets])
 
     def index_of(self, members) -> int:
         members = tuple(sorted(members))

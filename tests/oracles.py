@@ -166,6 +166,13 @@ def naive_sls_witness_exists(source, target, mapping, u):
     )
 
 
+def assert_passes_constructor_checks(g):
+    """g, built without checks, holds tuples and is what the checking Graph(...) builds from it."""
+    assert isinstance(g.adj, tuple) and (g.labels is None or isinstance(g.labels, tuple))
+    checked = Graph(g.n, g.adj, g.labels)
+    assert checked == g and checked.labels == g.labels
+
+
 def petersen_from_scratch():
     """Petersen built directly from disjoint 2-subsets of {1..5}, independent
     of the package's Kneser generator."""

@@ -194,6 +194,12 @@ def test_budget_rejects_negative_and_nan_caps():
     assert Budget(max_nodes=0, max_seconds=float("inf")).max_nodes == 0
 
 
+# Far above every pinned count (at most 6,435 nodes), so a correct kernel never
+# reaches it; a kernel that loses a prune then fails its pin in seconds
+# instead of searching without end.
+_PIN_CAP = Budget(max_nodes=100_000)
+
+
 @pytest.mark.parametrize(
     "make_graph, k, budget, status, nodes",
     [
@@ -213,7 +219,7 @@ def test_budget_rejects_negative_and_nan_caps():
 def test_search_node_counts_are_pinned(make_graph, k, budget, status, nodes):
     # A node is one dominator tuple reached plus one extension assignment;
     # these counts change only if the search order or the node definition does.
-    result = find_colorful_coloring(make_graph(), k, budget)
+    result = find_colorful_coloring(make_graph(), k, budget or _PIN_CAP)
     assert (result.status, result.nodes) == (status, nodes)
 
 
@@ -428,12 +434,12 @@ def test_chromatic_number_of_a_large_clique():
 
 def _graph_rows(g):
     """Rows for one graph: its edges, chi and its witness, then for k = 1..n+1,
-    without a budget and at 5 nodes, the colorful search's status, nodes and witness."""
+    at _PIN_CAP ("cap=None") and at 5 nodes, the colorful search's status, nodes and witness."""
     chi, witness = chromatic_number(g)
     rows = [f"{g.edges()} chi {chi} {witness.colors}"]
     for k in range(1, g.n + 2):
         for cap in (None, 5):
-            result = find_colorful_coloring(g, k, Budget(max_nodes=cap) if cap is not None else None)
+            result = find_colorful_coloring(g, k, _PIN_CAP if cap is None else Budget(max_nodes=cap))
             colors = result.coloring.colors if result.coloring is not None else None
             rows.append(f"k={k} cap={cap} {result.status.name} {result.nodes} {colors}")
     return rows

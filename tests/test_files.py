@@ -9,6 +9,8 @@ from bcoloring.graphs import MAX_VERTICES, graph_from_edges, read_col, write_col
 from bcoloring.homomorphism import VertexMap, kneser_step_hom, read_map, write_map
 from bcoloring.kneser import kneser_graph
 
+import oracles
+
 
 def test_coloring_round_trip_with_labels(tmp_path):
     kg = kneser_graph(7, 3)
@@ -213,11 +215,13 @@ def _col_like_bytes(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_FILE_BYTES, _col_like_bytes()))
 def test_col_reader_fuzz(fuzz_dir, data):
-    # Every file the reader accepts is the graph of its own edge lines.
+    # Every file the reader accepts is the graph of its own edge lines, and
+    # passes the checks that the reader's unchecked build skips.
     g = _parses_or_rejects(read_col, fuzz_dir / "fuzz.col", data)
     if g is not None:
         n, edges = _col_edges(data)
         assert g == graph_from_edges(n, edges) and g.labels is None
+        oracles.assert_passes_constructor_checks(g)
 
 
 @st.composite

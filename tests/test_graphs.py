@@ -20,6 +20,7 @@ from bcoloring.graphs import (
     regularity,
     write_col,
 )
+from bcoloring.kneser import kneser_graph
 
 import oracles
 
@@ -197,6 +198,17 @@ def test_col_round_trip_with_labels(tmp_path):
     write_col(g, path)
     back = read_col(path)
     assert back == g and back.labels == g.labels
+    oracles.assert_passes_constructor_checks(back)
+
+
+def test_unchecked_builders_pass_the_constructor_checks():
+    # KneserGraph and complete_graph skip Graph's checks; the .col reader is
+    # covered by the round trip above and by the reader fuzz.
+    for n in range(1, 10):
+        for m in range(1, n + 1):
+            oracles.assert_passes_constructor_checks(kneser_graph(n, m).graph)
+    for k in range(9):
+        oracles.assert_passes_constructor_checks(complete_graph(k))
 
 
 @pytest.mark.parametrize(
@@ -214,6 +226,14 @@ def test_col_round_trip_with_labels(tmp_path):
         ("p edge 2 1\ne 1 2 3\n", "expected 'e <u> <v>'"),
         ("p edge 2 1\ne 1 x\n", "non-integer endpoint"),
         ("p edge 2 1\np edge 2 1\ne 1 2\n", "duplicate problem line"),
+        # Lines a three-field fast path could misread, each at line 2.
+        ("p edge 2 1\nx 1 2\n", ":2: unknown line type 'x'"),
+        ("p edge 2 1\ne 1\n", ":2: expected 'e <u> <v>'"),
+        ("p edge 2 1\ne\n", ":2: expected 'e <u> <v>'"),
+        ("p edge 2 1\np 2 1\n", ":2: duplicate problem line"),
+        ("p edge 2 1\ne 0 1\n", r":2: endpoint of \(0, 1\) outside 1..2"),
+        ("p edge 2 1\ne 3 3\n", r":2: endpoint of \(3, 3\) outside 1..2"),
+        ("p edge 2 1\ne x 1\n", ":2: non-integer endpoint"),
     ],
 )
 def test_col_malformed_files(tmp_path, body, fragment):

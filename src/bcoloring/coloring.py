@@ -119,11 +119,11 @@ class SearchStatus(Enum):
     BUDGET_EXCEEDED = "budget_exceeded"
 
 
-def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
+def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
     """(status, colors, nodes): colors 1..k for every vertex when FOUND, else None.
 
-    The graph is given as closed[v] = (v, *neighbors of v). The clique
-    vertices take colors 1, 2, ... up front. With candidates,
+    The graph is given as adj[v], the bit mask of v's neighbors.
+    The clique vertices take colors 1, 2, ... up front. With candidates,
     the first k decisions choose the dominators: the ascending k-tuples of
     candidates are walked as a prefix tree, in the order of
     itertools.combinations, position j of the tuple taking color j+1 and
@@ -134,47 +134,53 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
     one more than the largest in use is never allowed; once the dominators
     hold all k colors this cap does nothing.
 
-    The state is kept per vertex: have[v] holds the colors present in
-    N[v], doms[v] the placed dominators whose closed neighborhood holds v,
-    and slack[d], for a placed dominator d, the uncolored vertices in N[d]
-    less the colors N[d] misses; d is tight when slack[d] is 0. An
-    assignment to v lowers slack[d] for each d in doms[v] whose
-    neighborhood already had v's color, and changes no other slack.
+    Without candidates (the chromatic search and its DSATUR bound) no
+    vertex has a dominator, and the colors an uncolored vertex sees are
+    all in use, so under the cap. So u allows cap.bit_count() less its
+    saturation, the number of colors in N[u]: the saturation is the whole
+    key, and the chosen vertex is the least-index one of greatest
+    saturation. That search keeps its state as bit masks: seen[c], the
+    vertices with a neighbor of color c; the saturations as bit planes,
+    plane i holding bit i of each vertex's count; and the mask of uncolored
+    vertices. An assignment of color c to v takes gained = adj[v] &
+    ~seen[c], ORs it into seen[c] and ripple-carry adds it to the planes;
+    its undo XORs gained back out and ripple-borrow subtracts it. (gained
+    may hold colored vertices; their counts are kept but never read.) A
+    decision narrows the uncolored mask plane by plane, from the top plane
+    down, to the vertices of greatest saturation and takes the lowest; when
+    every uncolored vertex has saturation 0 that is the least uncolored
+    one, which starts a new component. Its choices are the cap less each
+    color in use whose seen mask holds it, so a vertex that sees all k
+    colors, and so has the greatest saturation, has none. No step of that
+    search loops over vertices.
 
-    A decision looks only at the frontier, the set front of uncolored
-    vertices with a colored neighbor. That finds the same vertex as a scan
-    of all uncolored vertices: an uncolored u outside the frontier has
-    have[u] = 0, lies in no placed dominator's neighborhood (dominators are
-    colored), and so allows every color under the cap, while a frontier
-    vertex sees a color in use, which is under the cap, and allows fewer.
-    So the least key, and every vertex with no allowed color, lies in the
-    frontier when it is not empty. An empty frontier starts a new
-    component at its uncolored vertex of least index, color.index(0),
-    unless every vertex is colored: each decision on the stack colored one
-    vertex, so that is when they and the clique number n.
+    With candidates, the state is kept per vertex, and the closed
+    neighborhoods are walked as tuples, made from adj once per call:
+    have[v] holds the colors present in N[v], doms[v] the placed dominators
+    whose closed neighborhood holds v, and slack[d], for a placed dominator
+    d, the uncolored vertices in N[d] less the colors N[d] misses; d is
+    tight when slack[d] is 0. An assignment to v lowers slack[d] for each d
+    in doms[v] whose neighborhood already had v's color, and changes no
+    other slack. A tight dominator d narrows the allowed colors of every
+    vertex in N[d] at once, so the key of a vertex there changes without
+    any change to its own have, and no per-vertex saturation order stays
+    current cheaply; so a decision scans.
 
-    Without candidates no vertex has a dominator, and have[u] lies within
-    the cap, since it holds only colors in use. So u allows exactly
-    cap.bit_count() - have[u].bit_count() colors: its saturation, the
-    number of colors it sees, is the whole key, and the chosen vertex is
-    the least-index one of greatest saturation. That search keeps the
-    uncolored vertices in buckets, bucket[s] holding as a bit mask those
-    of saturation s, and takes the lowest bit of the highest nonempty
-    bucket instead of scanning. A vertex allows no color only when it sees
-    all k colors, so such vertices fill bucket[k], whose lowest vertex
-    then has no choice. An assignment to v moves v out of its bucket and
-    each uncolored vertex whose have gained v's color up by one, and its
-    undo moves them back; the main loop makes both moves, once per node,
-    so the per-vertex loops of assign and undo serve both searches alike.
-
-    With candidates, the frontier is scanned. A tight dominator d narrows
-    the allowed colors of every vertex in N[d] at once, so the key of a
-    vertex there changes without any change to its own have, and no
-    per-vertex bucket stays current cheaply. The set's order does not
-    matter: the scan keeps the least (key, index), with the key (below)
-    read off allowed and len(doms[u]), which is one vertex in any order;
-    and a vertex with no allowed color ends the decision, which then
-    backtracks without coloring it, whichever such vertex is met first.
+    It scans only the frontier, the set front of uncolored vertices with a
+    colored neighbor. That finds the same vertex as a scan of all uncolored
+    vertices: an uncolored u outside the frontier has have[u] = 0, lies in
+    no placed dominator's neighborhood (dominators are colored), and so
+    allows every color under the cap, while a frontier vertex sees a color
+    in use, which is under the cap, and allows fewer. So the least key, and
+    every vertex with no allowed color, lies in the frontier when it is not
+    empty. An empty frontier starts a new component at its uncolored vertex
+    of least index, color.index(0), unless every vertex is colored: each
+    decision on the stack colored one vertex, so that is when they and the
+    clique number n. The set's order does not matter: the scan keeps the
+    least (key, index), with the key (below) read off allowed and
+    len(doms[u]), which is one vertex in any order; and a vertex with no
+    allowed color ends the decision, which then backtracks without coloring
+    it, whichever such vertex is met first.
 
     A node is a choice taken at the last dominator position or below it:
     one per full dominator tuple and one per color tried. The search ends
@@ -186,75 +192,87 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
     max_nodes = inf if budget.max_nodes is None else budget.max_nodes
     deadline = time.monotonic() + (inf if budget.max_seconds is None else budget.max_seconds)
     nodes = 0
-    n = len(closed)
+    n = len(adj)
     full = (1 << k) - 1
     color = [0] * n
-    have = [0] * n
-    doms = [[] for _ in range(n)]
-    slack = [0] * n
-    front = set()
+    positions = k if candidates else 0
+    if positions:
+        closed = [(v, *iter_bits(row)) for v, row in enumerate(adj)]
+        have = [0] * n
+        doms = [[] for _ in range(n)]
+        slack = [0] * n
+        front = set()
 
-    def assign(v, bit):
-        """Apply the assignment; returns the vertices whose have gained bit."""
-        color[v] = bit.bit_length()
-        for d in doms[v]:
-            if have[d] & bit:
-                slack[d] -= 1
-        front.discard(v)
-        have[v] |= bit  # no neighbor of v has its color, so this sets it; v is skipped below
-        touched = [v]
-        for u in closed[v]:
-            h = have[u]
-            if not h & bit:
-                if not h:  # u has its first colored neighbor
-                    front.add(u)
-                have[u] = h | bit
-                touched.append(u)
-        return touched
+        def assign(v, bit):
+            """Apply the assignment; returns the vertices whose have gained bit."""
+            color[v] = bit.bit_length()
+            for d in doms[v]:
+                if have[d] & bit:
+                    slack[d] -= 1
+            front.discard(v)
+            have[v] |= bit  # no neighbor of v has its color, so this sets it; v is skipped below
+            touched = [v]
+            for u in closed[v]:
+                h = have[u]
+                if not h & bit:
+                    if not h:  # u has its first colored neighbor
+                        front.add(u)
+                    have[u] = h | bit
+                    touched.append(u)
+            return touched
 
-    def undo(v, bit, touched):
-        for u in touched:
-            have[u] ^= bit
-            if not have[u]:  # u has no colored neighbor left
-                front.discard(u)
-        for d in doms[v]:
-            if have[d] & bit:
-                slack[d] += 1
-        color[v] = 0
-        if have[v]:  # v, uncolored again, still has a colored neighbor
-            front.add(v)
+        def undo(v, bit, touched):
+            for u in touched:
+                have[u] ^= bit
+                if not have[u]:  # u has no colored neighbor left
+                    front.discard(u)
+            for d in doms[v]:
+                if have[d] & bit:
+                    slack[d] += 1
+            color[v] = 0
+            if have[v]:  # v, uncolored again, still has a colored neighbor
+                front.add(v)
+    else:
+        seen = [0] * k
+        planes = [0] * k.bit_length()  # a saturation is at most k
+        uncolored = (1 << n) - 1
 
-    def rebucket(v, touched):
-        """Move v and the uncolored vertices of touched between buckets.
+        def assign(v, bit):
+            """Apply the assignment; returns gained, the vertices new to seen[c]."""
+            nonlocal uncolored
+            c = bit.bit_length() - 1
+            color[v] = c + 1
+            uncolored ^= 1 << v
+            carry = gained = adj[v] & ~seen[c]
+            seen[c] |= gained
+            i = 0
+            while carry:
+                plane = planes[i]
+                planes[i] = plane ^ carry
+                carry &= plane
+                i += 1
+            return gained
 
-        Run after assign(v, bit) and again before its undo: both times v is
-        colored and every have in touched holds bit, so the same XORs make
-        the moves and then reverse them.
-        """
-        bucket[have[v].bit_count() - 1] ^= 1 << v
-        for u in touched:
-            if not color[u]:
-                s = have[u].bit_count()
-                b = 1 << u
-                bucket[s - 1] ^= b
-                bucket[s] ^= b
+        def undo(v, bit, gained):
+            nonlocal uncolored
+            seen[bit.bit_length() - 1] ^= gained
+            i = 0
+            while gained:
+                planes[i] = plane = planes[i] ^ gained
+                gained &= plane  # the borrow: a bit set here was 0 before the XOR
+                i += 1
+            color[v] = 0
+            uncolored |= 1 << v
 
     for i, v in enumerate(clique):
         assign(v, 1 << i)
     used = len(clique)  # the largest color in use
-    positions = k if candidates else 0
-    if not positions:
-        # bucket[s] holds, as a bit mask, the uncolored vertices u with
-        # have[u].bit_count() == s.
-        bucket = [0] * (k + 1)
-        for u in range(n):
-            if not color[u]:
-                bucket[have[u].bit_count()] |= 1 << u
     cand_mask = sum(1 << v for v in candidates)
     last = len(candidates) - k  # position j takes candidates[:last + j + 1]
     # The decisions above the current one, each as (v, bit, touched, untried
-    # choices, used before it), the first three as assign and undo take them:
-    # the choices are vertex bits for a dominator position, color bits otherwise.
+    # choices, used before it), the first three as assign returned them and
+    # undo takes them: the choices are vertex bits for a dominator position,
+    # color bits otherwise.
     stack = []
     while True:
         depth = len(stack)
@@ -263,17 +281,33 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
             choices = cand_mask & -(1 << after) & ((2 << candidates[last + depth]) - 1)
         else:
             cap = (1 << (used + 1 if used < k else k)) - 1
-            if not front:  # a new component, or none left
+            if not positions:
+                if not uncolored:
+                    return SearchStatus.FOUND, color, nodes
+                top = uncolored
+                s = 0
+                # No saturation exceeds used, so the planes from used's length up are empty.
+                for i in range(used.bit_length() - 1, -1, -1):
+                    narrowed = top & planes[i]
+                    if narrowed:
+                        top = narrowed
+                        s |= 1 << i
+                low = top & -top
+                v = low.bit_length() - 1
+                # v sees s colors, all of them in use. When it sees every one,
+                # only a fresh color is left, if any, and no bit test is needed,
+                # as at every decision of the DSATUR bound on a clique.
+                if s == used:
+                    choices = cap >> used << used
+                else:
+                    choices = cap
+                    for c in range(used):
+                        if seen[c] & low:
+                            choices ^= 1 << c
+            elif not front:  # a new component, or none left
                 if depth + len(clique) == n:
                     return SearchStatus.FOUND, color, nodes
                 v, choices = color.index(0), cap
-            elif not positions:
-                s = used  # no uncolored vertex sees more colors than are in use
-                while not bucket[s]:
-                    s -= 1
-                b = bucket[s]
-                v = (b & -b).bit_length() - 1
-                choices = cap & ~have[v]
             else:
                 v_key = inf
                 for u in front:
@@ -302,8 +336,6 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
             if not stack:
                 return SearchStatus.NOT_EXISTS, None, nodes
             v, bit, touched, choices, used = stack.pop()
-            if not positions:
-                rebucket(v, touched)
             undo(v, bit, touched)
             depth -= 1
             if depth < positions:
@@ -326,8 +358,6 @@ def _backtrack(closed, k: int, budget: Budget, clique=(), candidates=()):
             slack[v] = free - (full & ~have[v]).bit_count()
         touched = assign(v, bit)
         stack.append((v, bit, touched, choices, used))
-        if not positions:
-            rebucket(v, touched)
         if bit >> used:
             used = bit.bit_length()
 
@@ -381,12 +411,17 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     at = [0] * n  # at[v] is v's number in the renumbering
     for i, v in enumerate(order):
         at[v] = i
-    closed = [(i, *(at[u] for u in iter_bits(g.adj[v]))) for i, v in enumerate(order)]
-    _, colors, _ = _backtrack(closed, n, Budget())
+    adj = []  # g.adj in the renumbering
+    for v in order:
+        row = 0
+        for u in iter_bits(g.adj[v]):
+            row |= 1 << at[u]
+        adj.append(row)
+    _, colors, _ = _backtrack(adj, n, Budget())
     upper = Coloring(max(colors), tuple(colors[i] for i in at))
     clique = greedy_clique(g)
     for k in range(max(len(clique), 3), upper.k):
-        _, colors, _ = _backtrack(closed, k, Budget(), [at[v] for v in clique])
+        _, colors, _ = _backtrack(adj, k, Budget(), [at[v] for v in clique])
         if colors is not None:
             return k, Coloring(k, tuple(colors[i] for i in at))
     return upper.k, upper
@@ -433,8 +468,7 @@ def find_colorful_coloring(g: Graph, k: int, budget: Budget | None = None) -> Se
             return SearchResult(SearchStatus.FOUND, Coloring(1, (1,) * n))
         return SearchResult(SearchStatus.NOT_EXISTS)
     budget = budget if budget is not None else DEFAULT_BUDGET
-    closed = [(v, *iter_bits(row)) for v, row in enumerate(g.adj)]
-    status, colors, nodes = _backtrack(closed, k, budget, candidates=candidates)
+    status, colors, nodes = _backtrack(g.adj, k, budget, candidates=candidates)
     coloring = Coloring(k, tuple(colors)) if colors is not None else None
     assert coloring is None or is_colorful(g, coloring)[0], "search returned a non-colorful coloring"
     return SearchResult(status, coloring, nodes)

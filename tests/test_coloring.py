@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcoloring import coloring
 from bcoloring.coloring import (
     Budget,
     Coloring,
@@ -340,9 +341,10 @@ def test_chromatic_number_of_a_long_path():
 
 
 def test_chromatic_number_of_the_largest_odd_graph():
-    # KG(15,7) has 6,435 vertices, and its frontier holds 1,750 of them per
-    # decision on average. The saturation buckets pick the next vertex
-    # without scanning them; the scan took 2-3 s here, the buckets 0.1-0.2 s.
+    # KG(15,7) has 6,435 vertices, and 1,750 uncolored ones on average see
+    # a color at a decision. The saturation bit planes pick the next vertex
+    # in a few whole-mask operations; scanning those vertices took 2-3 s here,
+    # the planes take 0.1-0.2 s.
     g = kneser_graph(15, 7).graph
     chi, witness = chromatic_number(g)
     assert chi == 3 and is_proper(g, witness)
@@ -423,6 +425,42 @@ def test_chromatic_witnesses_are_pinned_on_wide_frontiers():
     # atlas and random-graph digests stop at 14 vertices.
     digest = hashlib.sha256("\n".join(wide_chromatic_rows()).encode()).hexdigest()
     assert digest == "e176b9512561cc14ce08b554a6ac2b43215bdefa8ced28e0067c1ce36765efc9"
+
+
+@pytest.mark.parametrize(
+    "make_graph, calls",
+    [
+        (_grotzsch, [(11, "FOUND", 11), (3, "NOT_EXISTS", 20)]),
+        (lambda: graph_from_edges(9, _IRREGULAR_9), [(9, "FOUND", 9), (4, "FOUND", 5)]),
+        (lambda: kneser_graph(10, 4).graph, [(210, "FOUND", 210), (3, "NOT_EXISTS", 2626)]),
+        (
+            lambda: oracles.random_graph(random.Random(9), 50, 0.5),
+            [(50, "FOUND", 50), (8, "NOT_EXISTS", 90), (9, "NOT_EXISTS", 19_995),
+             (10, "FOUND", 3_709)],
+        ),
+    ],
+)
+def test_chromatic_node_counts_are_pinned(monkeypatch, make_graph, calls):
+    # (k, status, nodes) of every kernel call chromatic_number makes: the
+    # DSATUR bound at k = n, then each k from the clique size up. The values
+    # were taken at 9aef4a1, before the saturation planes replaced the
+    # saturation buckets: the planes must visit the same nodes. Each call
+    # runs under _PIN_CAP instead of uncapped, so a kernel that visits other
+    # nodes fails here in seconds rather than searching on; the calls are
+    # compared even when chromatic_number raises on a capped result.
+    kernel = coloring._backtrack
+    seen = []
+
+    def recording(adj, k, budget, *args):
+        status, colors, nodes = kernel(adj, k, _PIN_CAP, *args)
+        seen.append((k, status.name, nodes))
+        return status, colors, nodes
+
+    monkeypatch.setattr(coloring, "_backtrack", recording)
+    try:
+        chromatic_number(make_graph())
+    finally:
+        assert seen == calls
 
 
 def test_chromatic_number_of_a_large_clique():

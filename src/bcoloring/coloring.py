@@ -130,9 +130,9 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
     requiring every color on its closed neighborhood. Every later decision
     colors the uncolored vertex with the fewest allowed colors, ties going
     to the vertex in more dominator neighborhoods and then to the lower
-    index, and tries its allowed colors in ascending order. A color above
-    one more than the largest in use is never allowed; once the dominators
-    hold all k colors this cap does nothing.
+    index, and tries its allowed colors in ascending order. The chromatic
+    search never allows a color above one more than the largest in use; the
+    colorful one needs no such cap, as its dominators take all k colors.
 
     Without candidates (the chromatic search and its DSATUR bound) no
     vertex has a dominator, and the colors an uncolored vertex sees are
@@ -147,40 +147,45 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
     its undo XORs gained back out and ripple-borrow subtracts it. (gained
     may hold colored vertices; their counts are kept but never read.) A
     decision narrows the uncolored mask plane by plane, from the top plane
-    down, to the vertices of greatest saturation and takes the lowest; when
-    every uncolored vertex has saturation 0 that is the least uncolored
-    one, which starts a new component. Its choices are the cap less each
-    color in use whose seen mask holds it, so a vertex that sees all k
-    colors, and so has the greatest saturation, has none. No step of that
-    search loops over vertices.
+    down, to the vertices of greatest saturation and takes the lowest. Its
+    choices are the cap less each color in use whose seen mask holds it, so
+    a vertex that sees all k colors, and so has the greatest saturation,
+    has none. When every uncolored vertex has saturation 0, the colored
+    ones fill whole components and the least uncolored one starts another,
+    on which no decision so far bears and to which every color is alike:
+    the decision clears the stack and offers color 1 alone. So a later
+    component that fails ends the search, which never backtracks into the
+    earlier ones. No step of that search loops over vertices.
 
     With candidates, the state is kept per vertex, and the closed
     neighborhoods are walked as tuples, made from adj once per call:
     have[v] holds the colors present in N[v], doms[v] the placed dominators
     whose closed neighborhood holds v, and slack[d], for a placed dominator
     d, the uncolored vertices in N[d] less the colors N[d] misses; d is
-    tight when slack[d] is 0. An assignment to v lowers slack[d] for each d
-    in doms[v] whose neighborhood already had v's color, and changes no
-    other slack. A tight dominator d narrows the allowed colors of every
-    vertex in N[d] at once, so the key of a vertex there changes without
-    any change to its own have, and no per-vertex saturation order stays
+    tight when slack[d] is 0. Only assign and undo change that state. An
+    assignment at a dominator position first places v: it appends v to
+    doms[u] for each u in N[v] and sets slack[v]; its undo removes v from
+    those lists last. An assignment to v lowers slack[d] for each d in
+    doms[v] whose neighborhood already had v's color, and changes no other
+    slack. A tight dominator d narrows the allowed colors of every vertex
+    in N[d] at once, so the key of a vertex there changes without any
+    change to its own have, and no per-vertex saturation order stays
     current cheaply; so a decision scans.
 
     It scans only the frontier, the set front of uncolored vertices with a
     colored neighbor. That finds the same vertex as a scan of all uncolored
     vertices: an uncolored u outside the frontier has have[u] = 0, lies in
     no placed dominator's neighborhood (dominators are colored), and so
-    allows every color under the cap, while a frontier vertex sees a color
-    in use, which is under the cap, and allows fewer. So the least key, and
-    every vertex with no allowed color, lies in the frontier when it is not
-    empty. An empty frontier starts a new component at its uncolored vertex
-    of least index, color.index(0), unless every vertex is colored: each
-    decision on the stack colored one vertex, so that is when they and the
-    clique number n. The set's order does not matter: the scan keeps the
-    least (key, index), with the key (below) read off allowed and
-    len(doms[u]), which is one vertex in any order; and a vertex with no
-    allowed color ends the decision, which then backtracks without coloring
-    it, whichever such vertex is met first.
+    allows every color, while a frontier vertex sees a color and allows
+    fewer. So the least key, and every vertex with no allowed color, lies
+    in the frontier when it is not empty. An empty frontier starts a new
+    component at its uncolored vertex of least index, color.index(0),
+    unless every vertex is colored: each decision on the stack colored one
+    vertex, so that is when they number n. The set's order does not
+    matter: the scan keeps the least (key, index), with the key (below)
+    read off allowed and len(doms[u]), which is one vertex in any order;
+    and a vertex with no allowed color ends the decision, which then
+    backtracks without coloring it, whichever such vertex is met first.
 
     A node is a choice taken at the last dominator position or below it:
     one per full dominator tuple and one per color tried. The search ends
@@ -205,6 +210,13 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
 
         def assign(v, bit):
             """Apply the assignment; returns the vertices whose have gained bit."""
+            if len(stack) < positions:  # place v as a dominator first
+                free = 0  # the uncolored vertices of N[v], v among them
+                for u in closed[v]:
+                    doms[u].append(v)
+                    if not color[u]:
+                        free += 1
+                slack[v] = free - (full & ~have[v]).bit_count()
             color[v] = bit.bit_length()
             for d in doms[v]:
                 if have[d] & bit:
@@ -232,6 +244,9 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
             color[v] = 0
             if have[v]:  # v, uncolored again, still has a colored neighbor
                 front.add(v)
+            if len(stack) < positions:  # v was a dominator
+                for u in closed[v]:
+                    doms[u].pop()
     else:
         seen = [0] * k
         planes = [0] * k.bit_length()  # a saturation is at most k
@@ -264,72 +279,74 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
             color[v] = 0
             uncolored |= 1 << v
 
-    for i, v in enumerate(clique):
-        assign(v, 1 << i)
-    used = len(clique)  # the largest color in use
-    cand_mask = sum(1 << v for v in candidates)
-    last = len(candidates) - k  # position j takes candidates[:last + j + 1]
     # The decisions above the current one, each as (v, bit, touched, untried
     # choices, used before it), the first three as assign returned them and
     # undo takes them: the choices are vertex bits for a dominator position,
     # color bits otherwise.
     stack = []
+    for i, v in enumerate(clique):
+        assign(v, 1 << i)
+    used = len(clique)  # the largest color in use
+    cand_mask = sum(1 << v for v in candidates)
+    last = len(candidates) - k  # position j takes candidates[:last + j + 1]
     while True:
         depth = len(stack)
         if depth < positions:
             after = stack[-1][0] + 1 if depth else 0
             choices = cand_mask & -(1 << after) & ((2 << candidates[last + depth]) - 1)
-        else:
+        elif not positions:
+            if not uncolored:
+                return SearchStatus.FOUND, color, nodes
+            top = uncolored
+            s = 0
+            # No saturation exceeds used, so the planes from used's length up are empty.
+            for i in range(used.bit_length() - 1, -1, -1):
+                narrowed = top & planes[i]
+                if narrowed:
+                    top = narrowed
+                    s |= 1 << i
+            low = top & -top
+            v = low.bit_length() - 1
             cap = (1 << (used + 1 if used < k else k)) - 1
-            if not positions:
-                if not uncolored:
-                    return SearchStatus.FOUND, color, nodes
-                top = uncolored
-                s = 0
-                # No saturation exceeds used, so the planes from used's length up are empty.
-                for i in range(used.bit_length() - 1, -1, -1):
-                    narrowed = top & planes[i]
-                    if narrowed:
-                        top = narrowed
-                        s |= 1 << i
-                low = top & -top
-                v = low.bit_length() - 1
-                # v sees s colors, all of them in use. When it sees every one,
-                # only a fresh color is left, if any, and no bit test is needed,
-                # as at every decision of the DSATUR bound on a clique.
-                if s == used:
-                    choices = cap >> used << used
-                else:
-                    choices = cap
-                    for c in range(used):
-                        if seen[c] & low:
-                            choices ^= 1 << c
-            elif not front:  # a new component, or none left
-                if depth + len(clique) == n:
-                    return SearchStatus.FOUND, color, nodes
-                v, choices = color.index(0), cap
+            # v sees s colors, all of them in use. When it sees every one,
+            # only a fresh color is left, if any, and no bit test is needed,
+            # as at every decision of the DSATUR bound on a clique.
+            if not s:  # v starts a component that nothing on the stack bears on
+                stack.clear()
+                choices = 1
+            elif s == used:
+                choices = cap >> used << used
             else:
-                v_key = inf
-                for u in front:
-                    allowed = cap & ~have[u]
-                    du = doms[u]
-                    # Every placed dominator d keeps slack[d] >= 0: where it is
-                    # 0, u may take only a color N[d] misses, so an assignment
-                    # from allowed keeps it (allowed is within full). A placement
-                    # keeps it too: the dominators' colors are pairwise distinct,
-                    # so it leaves each earlier dominator's slack as it was, and
-                    # a candidate y starts with |N[y]| - k >= 0.
-                    for d in du:
-                        if not slack[d]:
-                            allowed &= ~have[d]
-                    if not allowed:
-                        v, choices = u, 0
-                        break
-                    # (allowed colors, -placed dominators) as one integer: each d in du
-                    # put its own color in have[u], outside allowed, so len(du) < k.
-                    key = allowed.bit_count() * k - len(du)
-                    if key <= v_key and (key < v_key or u < v):
-                        v, choices, v_key = u, allowed, key
+                choices = cap
+                for c in range(used):
+                    if seen[c] & low:
+                        choices ^= 1 << c
+        elif not front:  # a new component, or none left
+            if depth == n:
+                return SearchStatus.FOUND, color, nodes
+            v, choices = color.index(0), full
+        else:
+            v_key = inf
+            for u in front:
+                allowed = full & ~have[u]
+                du = doms[u]
+                # Every placed dominator d keeps slack[d] >= 0: where it is
+                # 0, u may take only a color N[d] misses, so an assignment
+                # from allowed keeps it (allowed is within full). A placement
+                # keeps it too: the dominators' colors are pairwise distinct,
+                # so it leaves each earlier dominator's slack as it was, and
+                # a candidate y starts with |N[y]| - k >= 0.
+                for d in du:
+                    if not slack[d]:
+                        allowed &= ~have[d]
+                if not allowed:
+                    v, choices = u, 0
+                    break
+                # (allowed colors, -placed dominators) as one integer: each d in du
+                # put its own color in have[u], outside allowed, so len(du) < k.
+                key = allowed.bit_count() * k - len(du)
+                if key <= v_key and (key < v_key or u < v):
+                    v, choices, v_key = u, allowed, key
         # When the current decision has no choice left, go back to the
         # nearest decision above it that has one.
         while not choices:
@@ -338,9 +355,6 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
             v, bit, touched, choices, used = stack.pop()
             undo(v, bit, touched)
             depth -= 1
-            if depth < positions:
-                for u in closed[v]:
-                    doms[u].pop()
         bit = choices & -choices
         choices ^= bit
         if depth >= positions - 1:
@@ -350,12 +364,6 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
         if depth < positions:
             v = bit.bit_length() - 1
             bit = 1 << depth
-            free = 0  # the uncolored vertices of N[v], v among them
-            for u in closed[v]:
-                doms[u].append(v)
-                if not color[u]:
-                    free += 1
-            slack[v] = free - (full & ~have[v]).bit_count()
         touched = assign(v, bit)
         stack.append((v, bit, touched, choices, used))
         if bit >> used:

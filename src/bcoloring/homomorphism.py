@@ -143,15 +143,12 @@ def kneser_step_hom(n: int, m: int) -> VertexMap:
         raise InputError(f"step homomorphism needs n > 2m >= 2, got n={n}, m={m}")
     src = kneser_graph(n + 2, m + 1)
     tgt = kneser_graph(n, m)
-    special = {n + 1, n + 2}
     mapping = []
-    for members in src.subsets:
-        s = set(members)
-        if len(s & special) <= 1:
-            image = s - {max(s)}
+    for s in src.subsets:  # ascending, so s holds both n+1 and n+2 exactly when s[-2] > n
+        if s[-2] > n:
+            image = s[:-2] + (max(set(range(1, n + 1)).difference(s)),)
         else:
-            kept = s - special
-            image = kept | {max(x for x in range(1, n + 1) if x not in s)}
+            image = s[:-1]
         mapping.append(tgt.index_of(image))
     return VertexMap(src.graph, tgt.graph, tuple(mapping))
 

@@ -195,10 +195,29 @@ def test_budget_rejects_negative_and_nan_caps():
     assert Budget(max_nodes=0, max_seconds=float("inf")).max_nodes == 0
 
 
-# Far above every pinned count (at most 6,435 nodes), so a correct kernel never
-# reaches it; a kernel that loses a prune then fails its pin in seconds
-# instead of searching without end.
+# Far above every pinned count (at most 19,995 nodes in one call), so a correct
+# kernel never reaches it; a kernel that loses a prune then fails its pin in
+# seconds instead of searching without end.
 _PIN_CAP = Budget(max_nodes=100_000)
+
+
+@pytest.fixture
+def capped_kernel(monkeypatch):
+    """Run every kernel call under _PIN_CAP, chromatic_number's uncapped ones
+    included, and return the list of their (k, status, nodes).
+
+    A kernel that visits other nodes then fails a chromatic pin in seconds
+    rather than searching on."""
+    kernel = coloring._backtrack
+    calls = []
+
+    def recording(adj, k, budget, *args):
+        status, colors, nodes = kernel(adj, k, _PIN_CAP, *args)
+        calls.append((k, status.name, nodes))
+        return status, colors, nodes
+
+    monkeypatch.setattr(coloring, "_backtrack", recording)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -398,6 +417,7 @@ _IRREGULAR_9 = [
         (lambda: graph_from_edges(9, _IRREGULAR_9), 4, (1, 1, 4, 1, 2, 2, 3, 4, 3)),
     ],
 )
+@pytest.mark.usefixtures("capped_kernel")
 def test_chromatic_witnesses_are_pinned(make_graph, chi, colors):
     # Ties between equally constrained vertices go to higher degree, then
     # lower index; breaking them by index alone gives other witnesses here.
@@ -420,11 +440,27 @@ def wide_chromatic_rows():
     return rows
 
 
+@pytest.mark.usefixtures("capped_kernel")
 def test_chromatic_witnesses_are_pinned_on_wide_frontiers():
     # Each decision chooses among hundreds of frontier vertices here; the
     # atlas and random-graph digests stop at 14 vertices.
     digest = hashlib.sha256("\n".join(wide_chromatic_rows()).encode()).hexdigest()
     assert digest == "e176b9512561cc14ce08b554a6ac2b43215bdefa8ced28e0067c1ce36765efc9"
+
+
+_CHVATAL = [
+    (0, 1), (0, 4), (0, 6), (0, 9), (1, 2), (1, 5), (1, 7), (2, 3), (2, 6), (2, 8), (3, 4), (3, 7),
+    (3, 9), (4, 5), (4, 8), (5, 10), (5, 11), (6, 10), (6, 11), (7, 8), (7, 11), (8, 10), (9, 10),
+    (9, 11),
+]
+
+
+def _bicliques_and_chvatal(copies):
+    """copies x K_{5,5} and then the Chvatal graph (chi 4, triangle-free), numbered
+    as networkx.disjoint_union_all([complete_bipartite_graph(5, 5)] * copies + [chvatal_graph()])."""
+    edges = [(10 * i + a, 10 * i + b) for i in range(copies) for a in range(5) for b in range(5, 10)]
+    edges += [(10 * copies + a, 10 * copies + b) for a, b in _CHVATAL]
+    return graph_from_edges(10 * copies + 12, edges)
 
 
 @pytest.mark.parametrize(
@@ -438,29 +474,25 @@ def test_chromatic_witnesses_are_pinned_on_wide_frontiers():
             [(50, "FOUND", 50), (8, "NOT_EXISTS", 90), (9, "NOT_EXISTS", 19_995),
              (10, "FOUND", 3_709)],
         ),
+        # k = 3 2-colors each K_{5,5}, then fails on the Chvatal graph. A search
+        # that backtracked into the finished components there tried every
+        # coloring of them: 5,005 nodes with one copy, past _PIN_CAP with three.
+        (lambda: _bicliques_and_chvatal(3), [(42, "FOUND", 42), (3, "NOT_EXISTS", 81)]),
+        (lambda: _bicliques_and_chvatal(20), [(212, "FOUND", 212), (3, "NOT_EXISTS", 251)]),
     ],
 )
-def test_chromatic_node_counts_are_pinned(monkeypatch, make_graph, calls):
+def test_chromatic_node_counts_are_pinned(capped_kernel, make_graph, calls):
     # (k, status, nodes) of every kernel call chromatic_number makes: the
     # DSATUR bound at k = n, then each k from the clique size up. The values
     # were taken at 9aef4a1, before the saturation planes replaced the
-    # saturation buckets: the planes must visit the same nodes. Each call
-    # runs under _PIN_CAP instead of uncapped, so a kernel that visits other
-    # nodes fails here in seconds rather than searching on; the calls are
-    # compared even when chromatic_number raises on a capped result.
-    kernel = coloring._backtrack
-    seen = []
-
-    def recording(adj, k, budget, *args):
-        status, colors, nodes = kernel(adj, k, _PIN_CAP, *args)
-        seen.append((k, status.name, nodes))
-        return status, colors, nodes
-
-    monkeypatch.setattr(coloring, "_backtrack", recording)
+    # saturation buckets: the planes must visit the same nodes. The two
+    # disconnected graphs' values were taken from the code that starts each
+    # component afresh. The calls are compared even when chromatic_number
+    # raises on a capped result.
     try:
         chromatic_number(make_graph())
     finally:
-        assert seen == calls
+        assert capped_kernel == calls
 
 
 def test_chromatic_number_of_a_large_clique():

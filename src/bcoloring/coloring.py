@@ -410,7 +410,8 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     (at least 3) up is then decided by the complete kernel search with the
     clique pre-colored; the cap on fresh colors breaks color symmetry. Both
     searches run on one renumbering of g, by degree, highest first, then by
-    index, and the witness is mapped back to g's vertices.
+    index, and the witness is mapped back to g's vertices. It is checked to
+    be proper with exactly chi colors before it is returned.
     """
     n = g.n
     if n == 0:
@@ -426,13 +427,16 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
             row |= 1 << at[u]
         adj.append(row)
     _, colors, _ = _backtrack(adj, n, Budget())
-    upper = Coloring(max(colors), tuple(colors[i] for i in at))
+    witness = Coloring(max(colors), tuple(colors[i] for i in at))
     clique = greedy_clique(g)
-    for k in range(max(len(clique), 3), upper.k):
+    for k in range(max(len(clique), 3), witness.k):
         _, colors, _ = _backtrack(adj, k, Budget(), [at[v] for v in clique])
         if colors is not None:
-            return k, Coloring(k, tuple(colors[i] for i in at))
-    return upper.k, upper
+            witness = Coloring(k, tuple(colors[i] for i in at))
+            break
+    if not (is_proper(g, witness) and len(set(witness.colors)) == witness.k):
+        raise AssertionError("chromatic witness must be proper with exactly chi colors")
+    return witness.k, witness
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +482,8 @@ def find_colorful_coloring(g: Graph, k: int, budget: Budget | None = None) -> Se
     budget = budget if budget is not None else DEFAULT_BUDGET
     status, colors, nodes = _backtrack(g.adj, k, budget, candidates=candidates)
     coloring = Coloring(k, tuple(colors)) if colors is not None else None
-    assert coloring is None or is_colorful(g, coloring)[0], "search returned a non-colorful coloring"
+    if coloring is not None and not is_colorful(g, coloring)[0]:
+        raise AssertionError("search returned a non-colorful coloring")
     return SearchResult(status, coloring, nodes)
 
 
@@ -512,8 +517,8 @@ def b_spectrum(g: Graph, budget: Budget | None = None) -> BSpectrumReport:
     if g.n == 0:
         raise InputError("b-spectrum is undefined for the empty graph")
     chi, chi_witness = chromatic_number(g)
-    ok, _ = is_colorful(g, chi_witness)
-    assert ok, "chromatic witness must be colorful"
+    if not is_colorful(g, chi_witness)[0]:
+        raise AssertionError("chromatic witness must be colorful")
     bound = m_degree_bound(g)
     spectrum = {chi}
     witnesses = {chi: chi_witness}

@@ -15,9 +15,10 @@ from .kneser import kneser_graph
 
 # Class 1 and class 3 are explicit lists; classes 2 and 4 are set-builder
 # expressions (all triples through a fixed element) with removals, class 4
-# with three extra triples unioned in. _expand_kg73_classes keeps that
-# structure visible and checks it, so a transcription slip in either the
-# explicit or the expanded form cannot pass silently.
+# with three extra triples unioned in. tests/test_fixtures.py checks the
+# expansion: a mistyped removed or extra triple changes a class size, and
+# the classes must partition the 35 triples of {1..7} with each designated
+# vertex in its own class.
 
 _V1 = [(1, 2, 3), (1, 4, 5), (2, 5, 6), (1, 2, 6), (1, 2, 7), (1, 3, 6), (1, 6, 7), (1, 4, 6)]
 _V2_REMOVED = [(1, 4, 5), (2, 5, 6), (4, 5, 7)]
@@ -32,35 +33,12 @@ def _triples_through(pivot, others):
     return {tuple(sorted((pivot, x, y))) for x, y in combinations(others, 2)}
 
 
-def _expand_kg73_classes() -> list[set[tuple[int, int, int]]]:
-    v2_pool = _triples_through(5, (1, 2, 3, 4, 6, 7))
-    v4_pool = _triples_through(4, (1, 2, 3, 6, 7))
-    for removed, pool in ((_V2_REMOVED, v2_pool), (_V4_REMOVED, v4_pool)):
-        for triple in removed:
-            if triple not in pool:
-                raise AssertionError(f"removed triple {triple} is not in its builder set")
-    for triple in _V4_EXTRA:
-        if triple in v4_pool:
-            raise AssertionError(f"extra triple {triple} already in the builder set")
-    classes = [
-        set(_V1),
-        v2_pool - set(_V2_REMOVED),
-        set(_V3),
-        (v4_pool - set(_V4_REMOVED)) | set(_V4_EXTRA),
-    ]
-    if [len(cls) for cls in classes] != [8, 12, 5, 10]:
-        raise AssertionError(f"class sizes {[len(c) for c in classes]} != [8, 12, 5, 10]")
-    everything = set(combinations(range(1, 8), 3))
-    union = set().union(*classes)
-    if union != everything or sum(len(cls) for cls in classes) != len(everything):
-        raise AssertionError("classes do not partition the 35 triples of {1..7}")
-    for cls, designated in zip(classes, KG73_DESIGNATED):
-        if designated not in cls:
-            raise AssertionError(f"designated vertex {designated} missing from its class")
-    return classes
-
-
-KG73_CLASSES = _expand_kg73_classes()
+KG73_CLASSES = [
+    set(_V1),
+    _triples_through(5, (1, 2, 3, 4, 6, 7)) - set(_V2_REMOVED),
+    set(_V3),
+    (_triples_through(4, (1, 2, 3, 6, 7)) - set(_V4_REMOVED)) | set(_V4_EXTRA),
+]
 
 
 def kg73_colorful_four() -> tuple[Coloring, tuple[int, int, int, int]]:

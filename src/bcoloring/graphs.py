@@ -360,19 +360,16 @@ def _write_lines(path, lines) -> None:
 
 def _read_lines(path):
     """Yield (line number, line) for each line of a UTF-8 text file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield from enumerate(fh, start=1)
-    except UnicodeDecodeError:
-        # Decoding runs ahead of the lines read, so the line of the first
-        # bad byte is counted in the raw bytes.
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FileFormatError(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text")
-        raise FileFormatError(path, 1, "not UTF-8 text")
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            # A byte that is not UTF-8 is read as a lone surrogate, which
+            # encode rejects, so it is reported at its own line.
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise FileFormatError(path, lineno, "not UTF-8 text")
+            yield lineno, line
 
 
 def _read_fields(path):

@@ -168,8 +168,8 @@ def lift_coloring(f: VertexMap, c: Coloring) -> Coloring:
     if not ok:
         raise InputError("coloring of the target is not colorful")
     lifted = Coloring(c.k, tuple(c.colors[f.mapping[v]] for v in range(f.source.n)))
-    ok, _ = is_colorful(f.source, lifted)
-    assert ok, "lift along an SLS map must stay colorful"
+    if not is_colorful(f.source, lifted)[0]:
+        raise AssertionError("lift along an SLS map must stay colorful")
     return lifted
 
 

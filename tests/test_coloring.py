@@ -1,5 +1,9 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +135,41 @@ def test_chromatic_witness_is_colorful(rng):
         g = oracles.random_graph(rng, rng.randint(1, 7), 0.4)
         _, witness = chromatic_number(g)
         assert is_colorful(g, witness)[0]
+
+
+_FAULTY_KERNEL = """
+from bcoloring import coloring
+from bcoloring.fixtures import petersen
+
+kernel = coloring._backtrack
+
+def all_ones(*args, **kwargs):
+    status, colors, nodes = kernel(*args, **kwargs)
+    return status, None if colors is None else [1] * len(colors), nodes
+
+coloring._backtrack = all_ones
+assert False, "asserts are not stripped"
+try:
+    coloring.{call}
+except AssertionError as exc:
+    print("AssertionError", exc)
+"""
+
+
+@pytest.mark.parametrize(
+    "call",
+    ["find_colorful_coloring(petersen(), 3)", "chromatic_number(petersen())"],
+    ids=["colorful", "chromatic"],
+)
+def test_witness_checks_survive_python_O(call):
+    # A kernel that returns all-1 colors must not pass as a witness, even
+    # with assert statements stripped by -O.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script = _FAULTY_KERNEL.format(call=call)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("AssertionError ")
 
 
 def test_m_degree_bound_examples():

@@ -358,15 +358,28 @@ def test_comment_is_a_line_whose_first_field_is_c(tmp_path):
     assert read_map(map_path).mapping == (1, 0)
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize("suffix", [".col", ".coloring", ".map"])
-def test_non_utf8_files_are_format_errors(tmp_path, suffix):
+def test_non_utf8_files_are_format_errors(tmp_path, suffix, end):
+    # The line of the bad byte is counted in the line ends the readers use.
     from bcoloring.graphs import path_graph, read_col
 
     path = tmp_path / f"bad{suffix}"
-    path.write_bytes(b"c fine\nc \xff\n")
+    path.write_bytes(b"c fine" + end + b"c \xff" + end)
     read = {".col": read_col, ".map": read_map}.get(suffix, lambda p: read_coloring(p, path_graph(1)))
     with pytest.raises(FileFormatError, match="not UTF-8") as err:
         read(path)
+    assert err.value.lineno == 2
+
+
+def test_first_fault_in_line_order_is_reported(tmp_path):
+    # A malformed line before a bad byte is the fault reported.
+    from bcoloring.graphs import read_col
+
+    path = tmp_path / "bad.col"
+    path.write_bytes(b"p edge 2 1\nx\nc \xff\n")
+    with pytest.raises(FileFormatError, match="unknown line type 'x'") as err:
+        read_col(path)
     assert err.value.lineno == 2
 
 

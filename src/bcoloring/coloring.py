@@ -12,7 +12,6 @@ NOT_EXISTS answer always means a completed search.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import FileFormatError, InputError
@@ -20,20 +19,63 @@ from .graphs import MAX_VERTICES, Graph, _first_meeting, _preimages, _read_field
 from .graphs import _read_vertex_records, _write_vertex_records, iter_bits
 
 
-@dataclass(frozen=True)
-class Coloring:
+class _Record:
+    """Immutable value record: its fields are its __slots__, in constructor order.
+
+    __init__ sets each field once; assignment and deletion then raise
+    AttributeError. Records compare and hash by the values of _key (every
+    field unless a subclass narrows it), repr as Name(field=value, ...), and
+    copy and pickle by calling the constructor with the fields again.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    _key = _fields
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Coloring(_Record):
     """Total assignment of colors 1..k to vertices 0..n-1."""
 
+    __slots__ = ("k", "colors")
     k: int
     colors: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(self.colors))
-        if self.k < 0:
+    def __init__(self, k: int, colors):
+        colors = tuple(colors)
+        if k < 0:
             raise InputError("color count must be nonnegative")
-        for v, c in enumerate(self.colors):
-            if not 1 <= c <= self.k:
-                raise InputError(f"vertex {v} has color {c} outside 1..{self.k}")
+        for v, c in enumerate(colors):
+            if not 1 <= c <= k:
+                raise InputError(f"vertex {v} has color {c} outside 1..{k}")
+        super().__init__(k, colors)
 
 
 def _require_total(g: Graph, c: Coloring):
@@ -95,19 +137,20 @@ def m_degree_bound(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # Budgets and the search kernel
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(_Record):
     """Caps on one kernel search, None meaning unlimited; the chromatic search runs uncapped."""
 
-    max_nodes: int | None = None
-    max_seconds: float | None = None
+    __slots__ = ("max_nodes", "max_seconds")
+    max_nodes: int | None
+    max_seconds: float | None
 
-    def __post_init__(self):
+    def __init__(self, max_nodes: int | None = None, max_seconds: float | None = None):
         # "not x >= 0" also rejects NaN, which no deadline comparison would end.
-        if self.max_nodes is not None and not self.max_nodes >= 0:
-            raise InputError(f"node budget must be nonnegative, got {self.max_nodes}")
-        if self.max_seconds is not None and not self.max_seconds >= 0:
-            raise InputError(f"time budget must be nonnegative seconds, got {self.max_seconds}")
+        if max_nodes is not None and not max_nodes >= 0:
+            raise InputError(f"node budget must be nonnegative, got {max_nodes}")
+        if max_seconds is not None and not max_seconds >= 0:
+            raise InputError(f"time budget must be nonnegative seconds, got {max_seconds}")
+        super().__init__(max_nodes, max_seconds)
 
 
 DEFAULT_BUDGET = Budget(max_nodes=50_000_000, max_seconds=600.0)
@@ -442,11 +485,14 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
 # ---------------------------------------------------------------------------
 # Exhaustive colorful k-coloring search
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Record):
+    __slots__ = ("status", "coloring", "nodes")
     status: SearchStatus
-    coloring: Coloring | None = None
-    nodes: int = 0
+    coloring: Coloring | None
+    nodes: int
+
+    def __init__(self, status: SearchStatus, coloring: Coloring | None = None, nodes: int = 0):
+        super().__init__(status, coloring, nodes)
 
     @property
     def found(self) -> bool:
@@ -490,22 +536,38 @@ def find_colorful_coloring(g: Graph, k: int, budget: Budget | None = None) -> Se
 # ---------------------------------------------------------------------------
 # b-spectrum
 
-@dataclass(frozen=True)
-class BSpectrumReport:
+class BSpectrumReport(_Record):
     """B(G) as computed: chi = min(spectrum), b = max(spectrum).
 
     ``unknown`` holds every k whose search ran out of budget; a nonempty
     unknown set makes the continuity verdict None (unknown) rather than
-    False. Witness colorings all pass is_colorful.
+    False. Witness colorings all pass is_colorful; equality and the hash
+    ignore them.
     """
 
+    __slots__ = ("chi", "b", "spectrum", "continuous", "witnesses", "unknown", "m_bound")
     chi: int
     b: int
     spectrum: frozenset[int]
     continuous: bool | None
-    witnesses: dict[int, Coloring] = field(compare=False)
-    unknown: frozenset[int] = frozenset()
-    m_bound: int = 0
+    witnesses: dict[int, Coloring]
+    unknown: frozenset[int]
+    m_bound: int
+
+    def __init__(
+        self,
+        chi: int,
+        b: int,
+        spectrum: frozenset[int],
+        continuous: bool | None,
+        witnesses: dict[int, Coloring],
+        unknown: frozenset[int] = frozenset(),
+        m_bound: int = 0,
+    ):
+        super().__init__(chi, b, spectrum, continuous, witnesses, unknown, m_bound)
+
+    def _key(self):
+        return (self.chi, self.b, self.spectrum, self.continuous, self.unknown, self.m_bound)
 
 
 def b_spectrum(g: Graph, budget: Budget | None = None) -> BSpectrumReport:

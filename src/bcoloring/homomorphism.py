@@ -14,32 +14,30 @@ colorful k-colorings and SLS maps into complete graphs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
-from .coloring import Coloring, is_colorful, is_proper
+from .coloring import Coloring, _Record, is_colorful, is_proper
 from .errors import InputError
 from .graphs import Graph, _first_meeting, _preimages, _read_fields, _read_header, _resolve_vertex
 from .graphs import _read_vertex_records, _write_vertex_records, complete_graph, iter_bits, read_col
 from .kneser import kneser_graph
 
 
-@dataclass(frozen=True)
-class VertexMap:
+class VertexMap(_Record):
     """Total map from the vertices of source to the vertices of target."""
 
+    __slots__ = ("source", "target", "mapping")
     source: Graph
     target: Graph
     mapping: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(self.mapping))
-        if len(self.mapping) != self.source.n:
-            raise InputError(
-                f"map covers {len(self.mapping)} vertices, source has {self.source.n}"
-            )
-        for v, image in enumerate(self.mapping):
-            if not 0 <= image < self.target.n:
+    def __init__(self, source: Graph, target: Graph, mapping):
+        mapping = tuple(mapping)
+        if len(mapping) != source.n:
+            raise InputError(f"map covers {len(mapping)} vertices, source has {source.n}")
+        for v, image in enumerate(mapping):
+            if not 0 <= image < target.n:
                 raise InputError(f"image {image} of vertex {v} outside target range")
+        super().__init__(source, target, mapping)
 
     def __call__(self, v: int) -> int:
         self.source.check_vertex(v)
@@ -59,8 +57,7 @@ def is_surjective(f: VertexMap) -> bool:
     return len(set(f.mapping)) == f.target.n
 
 
-@dataclass(frozen=True)
-class SlsCertificate:
+class SlsCertificate(_Record):
     """Witness data for the SLS condition, checkable edge by edge.
 
     witness[u] is a preimage of target vertex u; neighbor_witness[u][v],
@@ -68,8 +65,12 @@ class SlsCertificate:
     witness[u] in the source.
     """
 
+    __slots__ = ("witness", "neighbor_witness")
     witness: dict[int, int]
     neighbor_witness: dict[int, dict[int, int]]
+
+    def __init__(self, witness: dict[int, int], neighbor_witness: dict[int, dict[int, int]]):
+        super().__init__(witness, neighbor_witness)
 
     def verify(self, f: VertexMap) -> bool:
         source, target = f.source, f.target
@@ -87,12 +88,21 @@ class SlsCertificate:
         return True
 
 
-@dataclass(frozen=True)
-class SlsVerdict:
+class SlsVerdict(_Record):
+    __slots__ = ("ok", "certificate", "failing_vertex", "reason")
     ok: bool
-    certificate: SlsCertificate | None = None
-    failing_vertex: int | None = None
-    reason: str | None = None
+    certificate: SlsCertificate | None
+    failing_vertex: int | None
+    reason: str | None
+
+    def __init__(
+        self,
+        ok: bool,
+        certificate: SlsCertificate | None = None,
+        failing_vertex: int | None = None,
+        reason: str | None = None,
+    ):
+        super().__init__(ok, certificate, failing_vertex, reason)
 
     def __bool__(self):
         return self.ok

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from bcoloring import cli
@@ -378,3 +381,14 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     exec(block, namespace)
     assert namespace["report"].spectrum == {3}
     assert namespace["result"].status is SearchStatus.FOUND
+
+
+def test_cli_import_loads_no_dataclasses():
+    # Every CLI call pays for what `import bcoloring.cli` loads; dataclasses
+    # brings inspect, dis, ast and tokenize with it, which nothing here needs.
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = "import sys, bcoloring.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

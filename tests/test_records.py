@@ -1,0 +1,178 @@
+"""The seven result records: construction, checks, equality, immutability, copies and repr."""
+
+import copy
+import math
+import pickle
+
+import pytest
+
+from bcoloring.coloring import BSpectrumReport, Budget, Coloring, SearchResult, SearchStatus
+from bcoloring.errors import InputError
+from bcoloring.graphs import complete_graph
+from bcoloring.homomorphism import SlsCertificate, SlsVerdict, VertexMap
+
+K2 = complete_graph(2)
+C12 = Coloring(2, (1, 2))
+CERT = SlsCertificate({0: 1, 1: 0}, {0: {1: 0}, 1: {0: 1}})
+
+# Each record with its fields in constructor order, one field changed, and its repr.
+RECORDS = [
+    (
+        {"k": 2, "colors": (1, 2)},
+        Coloring,
+        ("colors", (2, 1)),
+        "Coloring(k=2, colors=(1, 2))",
+    ),
+    (
+        {"max_nodes": 5, "max_seconds": 1.5},
+        Budget,
+        ("max_seconds", 2.0),
+        "Budget(max_nodes=5, max_seconds=1.5)",
+    ),
+    (
+        {"status": SearchStatus.FOUND, "coloring": C12, "nodes": 3},
+        SearchResult,
+        ("nodes", 4),
+        "SearchResult(status=<SearchStatus.FOUND: 'found'>, coloring=Coloring(k=2, colors=(1, 2)), nodes=3)",
+    ),
+    (
+        {
+            "chi": 2,
+            "b": 2,
+            "spectrum": frozenset({2}),
+            "continuous": True,
+            "witnesses": {2: C12},
+            "unknown": frozenset({3}),
+            "m_bound": 3,
+        },
+        BSpectrumReport,
+        ("m_bound", 4),
+        "BSpectrumReport(chi=2, b=2, spectrum=frozenset({2}), continuous=True, "
+        "witnesses={2: Coloring(k=2, colors=(1, 2))}, unknown=frozenset({3}), m_bound=3)",
+    ),
+    (
+        {"source": K2, "target": K2, "mapping": (1, 0)},
+        VertexMap,
+        ("mapping", (0, 1)),
+        "VertexMap(source=Graph(n=2, edges=1), target=Graph(n=2, edges=1), mapping=(1, 0))",
+    ),
+    (
+        {"witness": {0: 1, 1: 0}, "neighbor_witness": {0: {1: 0}, 1: {0: 1}}},
+        SlsCertificate,
+        ("witness", {0: 0, 1: 1}),
+        "SlsCertificate(witness={0: 1, 1: 0}, neighbor_witness={0: {1: 0}, 1: {0: 1}})",
+    ),
+    (
+        {"ok": True, "certificate": CERT, "failing_vertex": None, "reason": None},
+        SlsVerdict,
+        ("reason", "why"),
+        "SlsVerdict(ok=True, certificate=SlsCertificate(witness={0: 1, 1: 0}, "
+        "neighbor_witness={0: {1: 0}, 1: {0: 1}}), failing_vertex=None, reason=None)",
+    ),
+]
+IDS = [row[1].__name__ for row in RECORDS]
+
+
+@pytest.mark.parametrize("fields, cls, changed, text", RECORDS, ids=IDS)
+def test_positional_and_keyword_construction(fields, cls, changed, text):
+    by_position = cls(*fields.values())
+    by_keyword = cls(**fields)
+    for record in (by_position, by_keyword):
+        assert type(record) is cls
+        for name, value in fields.items():
+            assert getattr(record, name) == value
+    assert by_position == by_keyword
+
+
+def test_defaults():
+    assert (Budget().max_nodes, Budget().max_seconds) == (None, None)
+    assert Budget(7) == Budget(max_nodes=7, max_seconds=None)
+    result = SearchResult(SearchStatus.NOT_EXISTS)
+    assert (result.coloring, result.nodes, result.found) == (None, 0, False)
+    assert SearchResult(SearchStatus.FOUND, C12).found
+    report = BSpectrumReport(1, 1, frozenset({1}), True, {})
+    assert (report.unknown, report.m_bound) == (frozenset(), 0)
+    verdict = SlsVerdict(False)
+    assert (verdict.certificate, verdict.failing_vertex, verdict.reason) == (None, None, None)
+    assert not verdict and SlsVerdict(True)
+
+
+def test_sequences_become_tuples():
+    assert Coloring(2, [1, 2]).colors == (1, 2)
+    assert Coloring(2, iter([2, 1])).colors == (2, 1)
+    assert VertexMap(K2, K2, [1, 0]).mapping == (1, 0)
+    assert VertexMap(K2, K2, iter([0, 1])).mapping == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Coloring(-1, ()), "color count must be nonnegative"),
+        (lambda: Coloring(2, (1, 3)), "vertex 1 has color 3 outside 1..2"),
+        (lambda: Coloring(2, [0]), "vertex 0 has color 0 outside 1..2"),
+        (lambda: Budget(max_nodes=-1), "node budget must be nonnegative, got -1"),
+        (lambda: Budget(math.nan), "node budget must be nonnegative, got nan"),
+        (lambda: Budget(max_seconds=-0.5), "time budget must be nonnegative seconds, got -0.5"),
+        (lambda: Budget(None, math.nan), "time budget must be nonnegative seconds, got nan"),
+        (lambda: VertexMap(K2, K2, (0,)), "map covers 1 vertices, source has 2"),
+        (lambda: VertexMap(K2, K2, [0, 2]), "image 2 of vertex 1 outside target range"),
+        (lambda: VertexMap(K2, K2, (-1, 0)), "image -1 of vertex 0 outside target range"),
+    ],
+)
+def test_invalid_fields_are_input_errors(make, message):
+    with pytest.raises(InputError) as info:
+        make()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("fields, cls, changed, text", RECORDS, ids=IDS)
+def test_equality_is_by_field_value(fields, cls, changed, text):
+    record = cls(**fields)
+    assert record == cls(**copy.deepcopy(fields))
+    assert not record != cls(**fields)
+    other = cls(**{**fields, changed[0]: changed[1]})
+    assert other != record and not other == record
+    assert record != tuple(fields.values())
+
+
+def test_spectrum_report_equality_ignores_witnesses():
+    fields = RECORDS[3][0]
+    report = BSpectrumReport(**fields)
+    assert report == BSpectrumReport(**{**fields, "witnesses": {}})
+    assert hash(report) == hash(BSpectrumReport(**{**fields, "witnesses": {}}))
+    assert report != BSpectrumReport(**{**fields, "unknown": frozenset()})
+
+
+def test_equal_records_hash_equal():
+    assert hash(Coloring(2, [1, 2])) == hash(C12)
+    assert hash(Budget(5, 1.5)) == hash(Budget(max_nodes=5, max_seconds=1.5))
+    assert hash(Budget()) == hash(Budget(None, None))
+    assert hash(SearchResult(SearchStatus.FOUND, Coloring(2, (1, 2)), 3)) == hash(
+        SearchResult(status=SearchStatus.FOUND, coloring=C12, nodes=3)
+    )
+    assert len({C12, Coloring(2, (1, 2)), Coloring(2, (2, 1))}) == 2
+
+
+@pytest.mark.parametrize("fields, cls, changed, text", RECORDS, ids=IDS)
+def test_fields_cannot_be_assigned(fields, cls, changed, text):
+    record = cls(**fields)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, changed[1])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) == fields[name]
+
+
+@pytest.mark.parametrize("fields, cls, changed, text", RECORDS, ids=IDS)
+def test_copies_are_equal(fields, cls, changed, text):
+    record = cls(**fields)
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls
+        assert twin == record
+        assert repr(twin) == text  # every field, witnesses included
+
+
+@pytest.mark.parametrize("fields, cls, changed, text", RECORDS, ids=IDS)
+def test_repr(fields, cls, changed, text):
+    assert repr(cls(**fields)) == text

@@ -205,15 +205,17 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
     have[v] holds the colors present in N[v], doms[v] the placed dominators
     whose closed neighborhood holds v, and slack[d], for a placed dominator
     d, the uncolored vertices in N[d] less the colors N[d] misses; d is
-    tight when slack[d] is 0. Only assign and undo change that state. An
-    assignment at a dominator position first places v: it appends v to
-    doms[u] for each u in N[v] and sets slack[v]; its undo removes v from
-    those lists last. An assignment to v lowers slack[d] for each d in
-    doms[v] whose neighborhood already had v's color, and changes no other
-    slack. A tight dominator d narrows the allowed colors of every vertex
-    in N[d] at once, so the key of a vertex there changes without any
-    change to its own have, and no per-vertex saturation order stays
-    current cheaply; so a decision scans.
+    tight when slack[d] is 0; tight counts the tight ones and placed lists
+    the placed ones in position order. Only assign and undo change that
+    state. An assignment at a dominator position first places v: it
+    appends v to placed and to doms[u] for each u in N[v] and sets
+    slack[v]; its undo removes v from those lists last. An assignment to v
+    lowers slack[d] for each d in doms[v] whose neighborhood already had
+    v's color, and changes no other slack. A tight dominator d narrows the
+    allowed colors of every vertex in N[d] at once, so the key of a vertex
+    there changes without any change to its own have, and no per-vertex
+    saturation order stays current cheaply; so a decision scans. While no
+    dominator is tight, the scan skips the dominators of each vertex.
 
     It scans only the frontier, the set front of uncolored vertices with a
     colored neighbor. That finds the same vertex as a scan of all uncolored
@@ -230,16 +232,41 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
     and a vertex with no allowed color ends the decision, which then
     backtracks without coloring it, whichever such vertex is met first.
 
+    Two support checks cut branches early. A placed dominator d whose N[d]
+    misses a color c needs an uncolored vertex of N[d] that can still take
+    c, for in a colorful completion some vertex of N[d] does. Which colors
+    an uncolored w can take only shrinks as the coloring grows: have[w]
+    and each have[e] only gain colors, and a tight dominator e stays tight,
+    every uncolored vertex of N[e] having to take one of the colors N[e]
+    misses. So:
+    1. After an assignment of c to v below the dominator positions, each
+       placed d whose N[d] misses c and holds a vertex whose have just
+       gained c (the mask gained) needs an uncolored w in N[d] without c
+       in have[w]. If some d has none, the assignment sets dead, and the
+       next decision backtracks before it scans.
+    2. Before each dominator position but the first, each placed d and
+       each color c that N[d] misses need an uncolored w in N[d] with c in
+       allows(w), the set the scan computes for w. If one has none, the
+       position has no choice.
+    Both cut only subtrees that hold no colorful coloring, and leave the
+    order of the rest of the walk as it is. So every verdict and the first
+    coloring found are those of the search without them; fewer nodes are
+    visited, and a capped search can settle what it would have left
+    BUDGET_EXCEEDED.
+
     A node is a choice taken at the last dominator position or below it:
     one per full dominator tuple and one per color tried. The search ends
     BUDGET_EXCEEDED at the first node past budget.max_nodes, or at a
-    multiple of 1,024 nodes reached past the deadline. All decisions live
-    on one explicit stack, so no depth is bounded by the recursion limit.
+    multiple of 1,024 nodes reached past the deadline. A dominator prefix
+    cut by check 2 reaches no node, so the deadline is read at every
+    1,024th cut prefix as well. All decisions live on one explicit stack,
+    so no depth is bounded by the recursion limit.
     """
     inf = float("inf")
     max_nodes = inf if budget.max_nodes is None else budget.max_nodes
     deadline = time.monotonic() + (inf if budget.max_seconds is None else budget.max_seconds)
     nodes = 0
+    pruned = 0  # the dominator prefixes cut by check 2, which reach no node
     n = len(adj)
     full = (1 << k) - 1
     color = [0] * n
@@ -249,24 +276,75 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
         have = [0] * n
         doms = [[] for _ in range(n)]
         slack = [0] * n
+        placed = []  # the placed dominators, in position order
+        tight = 0  # the placed dominators d with slack[d] == 0
+        dead = False  # the last assignment left a dominator without support
         front = set()
+
+        def allows(w):
+            """The colors uncolored w may take: none in N[w] nor in a tight dominator's N.
+
+            The scan computes the same set inline: a call for each frontier
+            vertex there cost 8-10% per node.
+            """
+            allowed = full & ~have[w]
+            for e in doms[w]:
+                if not slack[e]:
+                    allowed &= ~have[e]
+            return allowed
+
+        def supported():
+            """Check 2: True iff each color that a placed dominator's N[d] misses
+            is allowed on some uncolored vertex of N[d].
+
+            Only the placed dominators are colored yet, with colors 1..len(placed).
+            A later color is in no have, so every uncolored vertex allows it, and
+            N[d] holds an uncolored vertex while it misses a color (slack[d] >= 0):
+            only the colors in use need a look.
+            """
+            memo = {}  # allows(w) of each w met so far
+            used = (1 << len(placed)) - 1
+            for d in placed:
+                need = used & ~have[d]
+                if need:
+                    # The dominators ascend from the least candidates, so N[d]
+                    # is walked from its high end, where the uncolored vertices are.
+                    for w in reversed(closed[d]):
+                        if not color[w]:
+                            allowed = memo.get(w)
+                            if allowed is None:
+                                allowed = memo[w] = allows(w)
+                            need &= ~allowed
+                            if not need:
+                                break
+                    else:
+                        return False
+            return True
 
         def assign(v, bit):
             """Apply the assignment; returns the vertices whose have gained bit."""
-            if len(stack) < positions:  # place v as a dominator first
+            nonlocal tight, dead
+            placing = len(stack) < positions
+            if placing:  # place v as a dominator first
                 free = 0  # the uncolored vertices of N[v], v among them
                 for u in closed[v]:
                     doms[u].append(v)
                     if not color[u]:
                         free += 1
-                slack[v] = free - (full & ~have[v]).bit_count()
+                slack[v] = s = free - (full & ~have[v]).bit_count()
+                if not s:
+                    tight += 1
+                placed.append(v)
             color[v] = bit.bit_length()
             for d in doms[v]:
                 if have[d] & bit:
                     slack[d] -= 1
+                    if not slack[d]:
+                        tight += 1
             front.discard(v)
             have[v] |= bit  # no neighbor of v has its color, so this sets it; v is skipped below
             touched = [v]
+            gained = 0
             for u in closed[v]:
                 h = have[u]
                 if not h & bit:
@@ -274,20 +352,38 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
                         front.add(u)
                     have[u] = h | bit
                     touched.append(u)
+                    gained |= 1 << u
+            if not placing:
+                # Check 1: a dominator d that misses bit and saw a vertex of
+                # N[d] gain it must keep an uncolored vertex of N[d] without it.
+                for d in placed:
+                    if not have[d] & bit and adj[d] & gained:
+                        for w in closed[d]:
+                            if not color[w] and not have[w] & bit:
+                                break
+                        else:
+                            dead = True
+                            break
             return touched
 
         def undo(v, bit, touched):
+            nonlocal tight
             for u in touched:
                 have[u] ^= bit
                 if not have[u]:  # u has no colored neighbor left
                     front.discard(u)
             for d in doms[v]:
                 if have[d] & bit:
+                    if not slack[d]:
+                        tight -= 1
                     slack[d] += 1
             color[v] = 0
             if have[v]:  # v, uncolored again, still has a colored neighbor
                 front.add(v)
             if len(stack) < positions:  # v was a dominator
+                if not slack[v]:
+                    tight -= 1
+                placed.pop()
                 for u in closed[v]:
                     doms[u].pop()
     else:
@@ -335,8 +431,14 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
     while True:
         depth = len(stack)
         if depth < positions:
-            after = stack[-1][0] + 1 if depth else 0
-            choices = cand_mask & -(1 << after) & ((2 << candidates[last + depth]) - 1)
+            if depth and not supported():
+                choices = 0
+                pruned += 1
+                if not pruned & 1023 and time.monotonic() > deadline:
+                    return SearchStatus.BUDGET_EXCEEDED, None, nodes
+            else:
+                after = stack[-1][0] + 1 if depth else 0
+                choices = cand_mask & -(1 << after) & ((2 << candidates[last + depth]) - 1)
         elif not positions:
             if not uncolored:
                 return SearchStatus.FOUND, color, nodes
@@ -364,6 +466,9 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
                 for c in range(used):
                     if seen[c] & low:
                         choices ^= 1 << c
+        elif dead:
+            dead = False
+            choices = 0
         elif not front:  # a new component, or none left
             if depth == n:
                 return SearchStatus.FOUND, color, nodes
@@ -379,9 +484,10 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
                 # keeps it too: the dominators' colors are pairwise distinct,
                 # so it leaves each earlier dominator's slack as it was, and
                 # a candidate y starts with |N[y]| - k >= 0.
-                for d in du:
-                    if not slack[d]:
-                        allowed &= ~have[d]
+                if tight:
+                    for d in du:
+                        if not slack[d]:
+                            allowed &= ~have[d]
                 if not allowed:
                     v, choices = u, 0
                     break

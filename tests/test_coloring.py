@@ -221,9 +221,16 @@ def test_budget_exhaustion_is_inconclusive_not_refuted():
 
 
 def test_wall_clock_cap_is_read_every_1024_nodes():
-    # KG(7,2) k=11 runs far past 1,024 nodes, where the expired deadline is read.
-    result = find_colorful_coloring(kneser_graph(7, 2).graph, 11, Budget(max_seconds=0))
+    # KG(7,2) k=10 runs far past 1,024 nodes, where the expired deadline is read.
+    result = find_colorful_coloring(kneser_graph(7, 2).graph, 10, Budget(max_seconds=0))
     assert (result.status, result.nodes) == (SearchStatus.BUDGET_EXCEEDED, 1024)
+
+
+def test_wall_clock_cap_is_read_every_1024_pruned_prefixes():
+    # The support check refutes KG(7,2) k=11 in 0 nodes, after 2,329 dominator
+    # prefixes it cut, so only the count of cut prefixes reads the deadline.
+    result = find_colorful_coloring(kneser_graph(7, 2).graph, 11, Budget(max_seconds=0))
+    assert (result.status, result.nodes) == (SearchStatus.BUDGET_EXCEEDED, 0)
 
 
 def test_budget_rejects_negative_and_nan_caps():
@@ -234,7 +241,7 @@ def test_budget_rejects_negative_and_nan_caps():
     assert Budget(max_nodes=0, max_seconds=float("inf")).max_nodes == 0
 
 
-# Far above every pinned count (at most 19,995 nodes in one call), so a correct
+# Far above every pinned count (at most 25,594 nodes in one call), so a correct
 # kernel never reaches it; a kernel that loses a prune then fails its pin in
 # seconds instead of searching without end.
 _PIN_CAP = Budget(max_nodes=100_000)
@@ -262,22 +269,22 @@ def capped_kernel(monkeypatch):
 @pytest.mark.parametrize(
     "make_graph, k, budget, status, nodes",
     [
-        (lambda: kneser_graph(6, 2).graph, 7, None, SearchStatus.NOT_EXISTS, 6_435),
+        (lambda: kneser_graph(6, 2).graph, 7, None, SearchStatus.NOT_EXISTS, 0),
         (petersen, 4, None, SearchStatus.NOT_EXISTS, 310),
         (q3, 3, None, SearchStatus.NOT_EXISTS, 152),
-        (lambda: kneser_graph(8, 3).graph, 5, None, SearchStatus.FOUND, 3_191),
-        (
-            lambda: kneser_graph(7, 2).graph,
-            11,
-            Budget(max_nodes=20_000),
-            SearchStatus.BUDGET_EXCEEDED,
-            20_001,
-        ),
+        (lambda: kneser_graph(8, 3).graph, 5, None, SearchStatus.FOUND, 460),
+        (lambda: kneser_graph(7, 2).graph, 11, Budget(max_nodes=20_000), SearchStatus.NOT_EXISTS, 0),
+        # Without the support checks KG(8,3) k=6 took 130,130 nodes and the
+        # next two ran past _PIN_CAP (KG(6,2) k=7 above took 6,435).
+        (lambda: kneser_graph(8, 3).graph, 6, None, SearchStatus.FOUND, 60),
+        (lambda: kneser_graph(8, 2).graph, 16, None, SearchStatus.NOT_EXISTS, 0),
+        (lambda: kneser_graph(8, 3).graph, 4, None, SearchStatus.FOUND, 25_594),
     ],
 )
 def test_search_node_counts_are_pinned(make_graph, k, budget, status, nodes):
     # A node is one dominator tuple reached plus one extension assignment;
-    # these counts change only if the search order or the node definition does.
+    # these counts change only if the search order, the node definition or
+    # the support checks that cut subtrees do.
     result = find_colorful_coloring(make_graph(), k, budget or _PIN_CAP)
     assert (result.status, result.nodes) == (status, nodes)
 
@@ -592,10 +599,10 @@ _KERNEL_ROW_DIGESTS = {
     1: "8bec8068120f33b2b4102b3e9bc4f6b20d4c59986e6c4a80ce5bb20b76eb4b8e",
     2: "97ec0e7683a954c43707d553426ebeaba5b058bc8ad73b4e2b7aa7712207559c",
     3: "c0abb6aef9811e701c3e6ed4fcf717b4c61d306ccb5ab376368ab1142f822796",
-    4: "1afd6b9fd94ff152115688b7706476eca357b8a3a392d9db14ca7ea4036eb50a",
-    5: "e90d6ad05b7a7f4d4fa40ef022f892e0d7dcac467b370f44cb784a26c318c061",
-    6: "b7790b3af60e3392addde96760e0bdead39f714f8027d7cbee93d7d621fdabe7",
-    7: "5035212b5b235807f0f0a0de7bb4201436d64d057933fd9ab08acb61c82e907d",
+    4: "3b755b423cb63d573e743fb1d63f1b55b97214838eb706492dcda68b71877cba",
+    5: "7f7f5e8ea062ab55038edd286e88479270ba4bc702769280db26c324fe16dfad",
+    6: "5c43afbc1be9863838cc8cb97b53b8d541df3c3dc25db0fe48b9ed8b9ddab69a",
+    7: "45047dbc66098cdde8492da4fa903c40b8b48935fac2f0823b3e33459047528e",
 }
 
 
@@ -610,4 +617,4 @@ def test_kernel_results_are_pinned_on_the_atlas(n):
 def test_kernel_results_are_pinned_on_random_graphs():
     # Larger than the atlas graphs, and a third of them disconnected.
     digest = hashlib.sha256("\n".join(random_kernel_rows()).encode()).hexdigest()
-    assert digest == "e34fca73122b5c0f025e26a724bf7f9568235a525a900bcaeb643139522b5f17"
+    assert digest == "f03b47885f0a7c9966556c7327c7346a60087169bea83530fc17a8de6b94e9dc"

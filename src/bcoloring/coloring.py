@@ -184,21 +184,16 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
     key, and the chosen vertex is the least-index one of greatest
     saturation. That search keeps its state as bit masks: seen[c], the
     vertices with a neighbor of color c; the saturations as bit planes,
-    plane i holding bit i of each vertex's count; and the mask of uncolored
-    vertices. An assignment of color c to v takes gained = adj[v] &
-    ~seen[c], ORs it into seen[c] and ripple-carry adds it to the planes;
-    its undo XORs gained back out and ripple-borrow subtracts it. (gained
-    may hold colored vertices; their counts are kept but never read.) A
-    decision narrows the uncolored mask plane by plane, from the top plane
-    down, to the vertices of greatest saturation and takes the lowest. Its
-    choices are the cap less each color in use whose seen mask holds it, so
-    a vertex that sees all k colors, and so has the greatest saturation,
-    has none. When every uncolored vertex has saturation 0, the colored
-    ones fill whole components and the least uncolored one starts another,
-    on which no decision so far bears and to which every color is alike:
-    the decision clears the stack and offers color 1 alone. So a later
-    component that fails ends the search, which never backtracks into the
-    earlier ones. No step of that search loops over vertices.
+    plane i holding bit i of each vertex's count (colored vertices are
+    counted too, but never read); and the mask of uncolored vertices. A
+    vertex that sees all k colors has the greatest saturation, so it is
+    chosen, and has no choice. When every uncolored vertex has saturation
+    0, the colored ones fill whole components and the least uncolored one
+    starts another, on which no decision so far bears and to which every
+    color is alike: the decision clears the stack and offers color 1
+    alone. So a later component that fails ends the search, which never
+    backtracks into the earlier ones. No step of that search loops over
+    vertices.
 
     With candidates, the state is kept per vertex, and the closed
     neighborhoods are walked as tuples, made from adj once per call:
@@ -207,15 +202,10 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
     d, the uncolored vertices in N[d] less the colors N[d] misses; d is
     tight when slack[d] is 0; tight counts the tight ones and placed lists
     the placed ones in position order. Only assign and undo change that
-    state. An assignment at a dominator position first places v: it
-    appends v to placed and to doms[u] for each u in N[v] and sets
-    slack[v]; its undo removes v from those lists last. An assignment to v
-    lowers slack[d] for each d in doms[v] whose neighborhood already had
-    v's color, and changes no other slack. A tight dominator d narrows the
-    allowed colors of every vertex in N[d] at once, so the key of a vertex
-    there changes without any change to its own have, and no per-vertex
-    saturation order stays current cheaply; so a decision scans. While no
-    dominator is tight, the scan skips the dominators of each vertex.
+    state. A tight dominator d narrows the allowed colors of every vertex
+    in N[d] at once, so the key of a vertex there changes without any
+    change to its own have, and no per-vertex saturation order stays
+    current cheaply; so a decision scans.
 
     It scans only the frontier, the set front of uncolored vertices with a
     colored neighbor. That finds the same vertex as a scan of all uncolored
@@ -300,21 +290,17 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
             Only the placed dominators are colored yet, with colors 1..len(placed).
             A later color is in no have, so every uncolored vertex allows it, and
             N[d] holds an uncolored vertex while it misses a color (slack[d] >= 0):
-            only the colors in use need a look.
+            only the colors in use need a look. It changes no state, so neither
+            walk order nor a cache could change its answer; none is needed, as on
+            K_n every placed dominator sees every color in use, leaving need 0.
             """
-            memo = {}  # allows(w) of each w met so far
             used = (1 << len(placed)) - 1
             for d in placed:
                 need = used & ~have[d]
                 if need:
-                    # The dominators ascend from the least candidates, so N[d]
-                    # is walked from its high end, where the uncolored vertices are.
-                    for w in reversed(closed[d]):
+                    for w in closed[d]:
                         if not color[w]:
-                            allowed = memo.get(w)
-                            if allowed is None:
-                                allowed = memo[w] = allows(w)
-                            need &= ~allowed
+                            need &= ~allows(w)
                             if not need:
                                 break
                     else:

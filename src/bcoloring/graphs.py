@@ -338,7 +338,7 @@ def _read_label_sidecar(path, n):
     sidecar = str(path) + ".labels"
     if not os.path.exists(sidecar):
         return None
-    numbered = [(lineno, line.strip()) for lineno, line in _read_lines(sidecar) if line.strip()]
+    numbered = [(lineno, " ".join(fields)) for lineno, fields in _read_fields(sidecar)]
     if len(numbered) != n:
         raise FileFormatError(sidecar, 1, f"expected {n} labels, found {len(numbered)}")
     labels = [label for _, label in numbered]
@@ -350,7 +350,7 @@ def _read_label_sidecar(path, n):
 
 
 # ---------------------------------------------------------------------------
-# Reading and writing shared by the .col, .coloring and .map formats
+# Reading and writing shared by the .col, .labels, .coloring and .map formats
 
 def _write_lines(path, lines) -> None:
     """Write each of lines, newline-terminated, as a UTF-8 text file."""
@@ -358,8 +358,8 @@ def _write_lines(path, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_lines(path):
-    """Yield (line number, line) for each line of a UTF-8 text file."""
+def _read_fields(path):
+    """Yield (line number, fields) of each UTF-8 line neither blank nor a comment ("c ...")."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             # A byte that is not UTF-8 is read as a lone surrogate, which
@@ -369,18 +369,9 @@ def _read_lines(path):
                     line.encode("utf-8")
                 except UnicodeEncodeError:
                     raise FileFormatError(path, lineno, "not UTF-8 text")
-            yield lineno, line
-
-
-def _read_fields(path):
-    """Yield (line number, fields) for each line that is neither blank nor a comment.
-
-    A comment is a line whose first field is "c".
-    """
-    for lineno, line in _read_lines(path):
-        fields = line.split()
-        if fields and fields[0] != "c":
-            yield lineno, fields
+            fields = line.split()
+            if fields and fields[0] != "c":
+                yield lineno, fields
 
 
 def _read_header(path, records, usage):

@@ -251,6 +251,18 @@ def test_col_label_sidecar_must_label_every_vertex(tmp_path):
         read_col(path)
 
 
+def test_col_label_sidecar_skips_comments_and_rejects_two_fields(tmp_path):
+    # "c" is no label, so a sidecar line starting with it is a comment, as in the other formats.
+    path = tmp_path / "p3.col"
+    write_col(path_graph(3), path)
+    sidecar = tmp_path / "p3.col.labels"
+    sidecar.write_text("c written by hand\na\nb\nc0\n")
+    assert read_col(path).labels == ("a", "b", "c0")
+    sidecar.write_text("a b\nx\ny\n")
+    with pytest.raises(FileFormatError, match=r":1: label 'a b' of vertex 0 is not one field other than 'c'"):
+        read_col(path)
+
+
 def test_col_error_carries_line_number(tmp_path):
     path = tmp_path / "bad.col"
     path.write_text("c comment\np edge 3 1\ne 1 9\n")

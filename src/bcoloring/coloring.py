@@ -2,8 +2,9 @@
 
 Verification functions are pure reads. chromatic_number, its DSATUR upper
 bound included, and find_colorful_coloring run one exhaustive backtracker,
-_backtrack, which keeps its decisions on an explicit stack, counts its
-nodes and checks its Budget in one place, and returns its status.
+_backtrack, which keeps its decisions on an explicit stack, checks its node
+cap at each node and reads its clock at every 1,024th node and every
+1,024th cut, and returns its status.
 chromatic_number runs it uncapped (instances stay at desk scale);
 find_colorful_coloring caps it by nodes and wall clock, so that a
 NOT_EXISTS answer always means a completed search.
@@ -228,16 +229,19 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
     an uncolored w can take only shrinks as the coloring grows: have[w]
     and each have[e] only gain colors, and a tight dominator e stays tight,
     every uncolored vertex of N[e] having to take one of the colors N[e]
-    misses. So:
+    misses. Both run in assign, and a failed one sets dead, so that the
+    next decision backtracks before it chooses:
     1. After an assignment of c to v below the dominator positions, each
        placed d whose N[d] misses c and holds a vertex whose have just
        gained c (the mask gained) needs an uncolored w in N[d] without c
-       in have[w]. If some d has none, the assignment sets dead, and the
-       next decision backtracks before it scans.
-    2. Before each dominator position but the first, each placed d and
-       each color c that N[d] misses need an uncolored w in N[d] with c in
-       allows(w), the set the scan computes for w. If one has none, the
-       position has no choice.
+       in have[w].
+    2. After each placement that another position follows, each placed d
+       and each color c in use that N[d] misses need an uncolored w in
+       N[d] with c in allows(w), the set the scan computes for w. Only
+       the colors in use need a look: a later color is in no have, so
+       every uncolored vertex allows it, and N[d] holds an uncolored
+       vertex while it misses a color (slack[d] >= 0). On K_n every
+       placed dominator sees every color in use, so it walks nothing.
     Both cut only subtrees that hold no colorful coloring, and leave the
     order of the rest of the walk as it is. So every verdict and the first
     coloring found are those of the search without them; fewer nodes are
@@ -247,16 +251,16 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
     A node is a choice taken at the last dominator position or below it:
     one per full dominator tuple and one per color tried. The search ends
     BUDGET_EXCEEDED at the first node past budget.max_nodes, or at a
-    multiple of 1,024 nodes reached past the deadline. A dominator prefix
-    cut by check 2 reaches no node, so the deadline is read at every
-    1,024th cut prefix as well. All decisions live on one explicit stack,
-    so no depth is bounded by the recursion limit.
+    multiple of 1,024 nodes, or of 1,024 cuts of either check, reached
+    past the deadline: a placement cut by check 2 reaches no node. All
+    decisions live on one explicit stack, so no depth is bounded by the
+    recursion limit.
     """
     inf = float("inf")
     max_nodes = inf if budget.max_nodes is None else budget.max_nodes
     deadline = time.monotonic() + (inf if budget.max_seconds is None else budget.max_seconds)
     nodes = 0
-    pruned = 0  # the dominator prefixes cut by check 2, which reach no node
+    cuts = 0  # the assignments that set dead
     n = len(adj)
     full = (1 << k) - 1
     color = [0] * n
@@ -282,30 +286,6 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
                 if not slack[e]:
                     allowed &= ~have[e]
             return allowed
-
-        def supported():
-            """Check 2: True iff each color that a placed dominator's N[d] misses
-            is allowed on some uncolored vertex of N[d].
-
-            Only the placed dominators are colored yet, with colors 1..len(placed).
-            A later color is in no have, so every uncolored vertex allows it, and
-            N[d] holds an uncolored vertex while it misses a color (slack[d] >= 0):
-            only the colors in use need a look. It changes no state, so neither
-            walk order nor a cache could change its answer; none is needed, as on
-            K_n every placed dominator sees every color in use, leaving need 0.
-            """
-            used = (1 << len(placed)) - 1
-            for d in placed:
-                need = used & ~have[d]
-                if need:
-                    for w in closed[d]:
-                        if not color[w]:
-                            need &= ~allows(w)
-                            if not need:
-                                break
-                    else:
-                        return False
-            return True
 
         def assign(v, bit):
             """Apply the assignment; returns the vertices whose have gained bit."""
@@ -347,6 +327,21 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
                         for w in closed[d]:
                             if not color[w] and not have[w] & bit:
                                 break
+                        else:
+                            dead = True
+                            break
+            elif len(placed) < positions:
+                # Check 2: each color in use that N[d] misses must be allowed
+                # on some uncolored vertex of N[d].
+                in_use = (bit << 1) - 1  # colors 1..len(placed)
+                for d in placed:
+                    need = in_use & ~have[d]
+                    if need:
+                        for w in closed[d]:
+                            if not color[w]:
+                                need &= ~allows(w)
+                                if not need:
+                                    break
                         else:
                             dead = True
                             break
@@ -416,16 +411,7 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
     last = len(candidates) - k  # position j takes candidates[:last + j + 1]
     while True:
         depth = len(stack)
-        if depth < positions:
-            if depth and not supported():
-                choices = 0
-                pruned += 1
-                if not pruned & 1023 and time.monotonic() > deadline:
-                    return SearchStatus.BUDGET_EXCEEDED, None, nodes
-            else:
-                after = stack[-1][0] + 1 if depth else 0
-                choices = cand_mask & -(1 << after) & ((2 << candidates[last + depth]) - 1)
-        elif not positions:
+        if not positions:
             if not uncolored:
                 return SearchStatus.FOUND, color, nodes
             top = uncolored
@@ -455,6 +441,12 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
         elif dead:
             dead = False
             choices = 0
+            cuts += 1
+            if not cuts & 1023 and time.monotonic() > deadline:
+                return SearchStatus.BUDGET_EXCEEDED, None, nodes
+        elif depth < positions:
+            after = stack[-1][0] + 1 if depth else 0
+            choices = cand_mask & -(1 << after) & ((2 << candidates[last + depth]) - 1)
         elif not front:  # a new component, or none left
             if depth == n:
                 return SearchStatus.FOUND, color, nodes

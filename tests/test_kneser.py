@@ -52,6 +52,7 @@ def test_rank_rejects_malformed_labels():
 def test_subset_label_rendering():
     assert format_subset((1, 2, 3)) == "{1,2,3}"
     assert kneser_graph(7, 3).graph.labels[34] == "{5,6,7}"
+    assert repr(kneser_graph(5, 2)) == "KneserGraph(5, 2)"
 
 
 def test_petersen_is_kg52():

@@ -59,17 +59,6 @@ def _emit(pairs, as_json):
         print(f"{key} {value}")
 
 
-def _budget(args) -> Budget | None:
-    if args.budget is None and args.seconds is None:
-        return None
-    return Budget(max_nodes=args.budget, max_seconds=args.seconds)
-
-
-def _add_budget_options(sub):
-    sub.add_argument("--budget", type=int, default=None, help="node expansion cap per search")
-    sub.add_argument("--seconds", type=float, default=None, help="wall clock cap per search")
-
-
 # ---------------------------------------------------------------------------
 # kneser
 
@@ -120,7 +109,10 @@ def _cmd_color_chromatic(args):
 
 def _cmd_color_bspectrum(args):
     g = read_col(args.graph)
-    report = b_spectrum(g, _budget(args))
+    budget = None
+    if args.budget is not None or args.seconds is not None:
+        budget = Budget(max_nodes=args.budget, max_seconds=args.seconds)
+    report = b_spectrum(g, budget)
     pairs = [
         ("chi", report.chi),
         ("b", report.b),
@@ -285,7 +277,8 @@ def _build_parser():
     spectrum = leaf(color, "bspectrum", _cmd_color_bspectrum, help="full b-spectrum report")
     spectrum.add_argument("-g", "--graph", required=True)
     spectrum.add_argument("-o", "--output", default=None, help="directory for witness colorings")
-    _add_budget_options(spectrum)
+    spectrum.add_argument("--budget", type=int, default=None, help="node expansion cap per search")
+    spectrum.add_argument("--seconds", type=float, default=None, help="wall clock cap per search")
 
     hom = top.add_parser("hom", help="graph homomorphisms").add_subparsers(
         dest="subcommand", required=True

@@ -231,9 +231,8 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
     every uncolored vertex of N[e] having to take one of the colors N[e]
     misses. Both run in assign, and a failed one sets dead, so that the
     next decision backtracks before it chooses:
-    1. After an assignment of c to v below the dominator positions, each
-       placed d whose N[d] misses c and holds a vertex whose have just
-       gained c (the mask gained) needs an uncolored w in N[d] without c
+    1. After an assignment of c below the dominator positions, each
+       placed d whose N[d] misses c needs an uncolored w in N[d] without c
        in have[w].
     2. After each placement that another position follows, each placed d
        and each color c in use that N[d] misses need an uncolored w in
@@ -310,7 +309,6 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
             front.discard(v)
             have[v] |= bit  # no neighbor of v has its color, so this sets it; v is skipped below
             touched = [v]
-            gained = 0
             for u in closed[v]:
                 h = have[u]
                 if not h & bit:
@@ -318,12 +316,11 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
                         front.add(u)
                     have[u] = h | bit
                     touched.append(u)
-                    gained |= 1 << u
             if not placing:
-                # Check 1: a dominator d that misses bit and saw a vertex of
-                # N[d] gain it must keep an uncolored vertex of N[d] without it.
+                # Check 1: each placed d whose N[d] misses bit needs an
+                # uncolored w in N[d] without bit in have[w].
                 for d in placed:
-                    if not have[d] & bit and adj[d] & gained:
+                    if not have[d] & bit:
                         for w in closed[d]:
                             if not color[w] and not have[w] & bit:
                                 break

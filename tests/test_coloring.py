@@ -241,7 +241,7 @@ def test_budget_rejects_negative_and_nan_caps():
     assert Budget(max_nodes=0, max_seconds=float("inf")).max_nodes == 0
 
 
-# Far above every pinned count (at most 25,594 nodes in one call), so a correct
+# Far above every pinned count (at most 25,558 nodes in one call), so a correct
 # kernel never reaches it; a kernel that loses a prune then fails its pin in
 # seconds instead of searching without end.
 _PIN_CAP = Budget(max_nodes=100_000)
@@ -278,7 +278,8 @@ def capped_kernel(monkeypatch):
         # next two ran past _PIN_CAP (KG(6,2) k=7 above took 6,435).
         (lambda: kneser_graph(8, 3).graph, 6, None, SearchStatus.FOUND, 60),
         (lambda: kneser_graph(8, 2).graph, 16, None, SearchStatus.NOT_EXISTS, 0),
-        (lambda: kneser_graph(8, 3).graph, 4, None, SearchStatus.FOUND, 25_594),
+        (lambda: kneser_graph(8, 3).graph, 4, None, SearchStatus.FOUND, 25_558),
+        (lambda: kneser_graph(8, 3).graph, 9, None, SearchStatus.FOUND, 710),
     ],
 )
 def test_search_node_counts_are_pinned(make_graph, k, budget, status, nodes):
@@ -602,7 +603,7 @@ _KERNEL_ROW_DIGESTS = {
     4: "3b755b423cb63d573e743fb1d63f1b55b97214838eb706492dcda68b71877cba",
     5: "7f7f5e8ea062ab55038edd286e88479270ba4bc702769280db26c324fe16dfad",
     6: "5c43afbc1be9863838cc8cb97b53b8d541df3c3dc25db0fe48b9ed8b9ddab69a",
-    7: "45047dbc66098cdde8492da4fa903c40b8b48935fac2f0823b3e33459047528e",
+    7: "8ed49939b3f95278016a03b8b3806ad9ef7f1d2362314620e79d776e335c9012",
 }
 
 
@@ -617,4 +618,4 @@ def test_kernel_results_are_pinned_on_the_atlas(n):
 def test_kernel_results_are_pinned_on_random_graphs():
     # Larger than the atlas graphs, and a third of them disconnected.
     digest = hashlib.sha256("\n".join(random_kernel_rows()).encode()).hexdigest()
-    assert digest == "f03b47885f0a7c9966556c7327c7346a60087169bea83530fc17a8de6b94e9dc"
+    assert digest == "56f0eb7f8626be91c73a99fd13d682e819de344085b25cfa9ebe0d04c2033d38"

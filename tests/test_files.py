@@ -190,17 +190,6 @@ def _rows(data):
     return [fields for fields in map(str.split, lines) if fields and fields[0] != "c"]
 
 
-def _col_edges(data):
-    """(n, 0-based edges) of the "p" and "e" lines of an accepted .col file."""
-    n, edges = None, []
-    for fields in _rows(data):
-        if fields[0] == "p":
-            n = int(fields[2])
-        elif fields[0] == "e":
-            edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
-    return n, edges
-
-
 @st.composite
 def _col_like_bytes(draw):
     """A header, then edge lines (some out of range or loops), comments and blank lines."""
@@ -210,18 +199,6 @@ def _col_like_bytes(draw):
     body = draw(st.lists(st.one_of(edge, st.sampled_from([b"c", b"c e 1 2", b""])), max_size=8))
     m = sum(line.startswith(b"e") for line in body) + draw(st.sampled_from([0, 0, 0, 1, -1]))
     return draw(st.sampled_from([b"\n", b"\r\n", b"\r"])).join([b"p edge %d %d" % (n, m), *body])
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(_FILE_BYTES, _col_like_bytes()))
-def test_col_reader_fuzz(fuzz_dir, data):
-    # Every file the reader accepts is the graph of its own edge lines, and
-    # passes the checks that the reader's unchecked build skips.
-    g = _parses_or_rejects(read_col, fuzz_dir / "fuzz.col", data)
-    if g is not None:
-        n, edges = _col_edges(data)
-        assert g == graph_from_edges(n, edges) and g.labels is None
-        oracles.assert_passes_constructor_checks(g)
 
 
 @st.composite
@@ -298,6 +275,24 @@ def _expected_coloring(data):
     return Coloring(k, colors) if all(c is not None and 1 <= c <= k for c in colors) else None
 
 
+def _expected_col(data):
+    rows = _rows(data)
+    if not rows or len(rows[0]) != 4 or rows[0][:2] != ["p", "edge"]:
+        return None
+    n, m = _int(rows[0][2]), _int(rows[0][3])
+    if n is None or m is None or not 0 <= n <= MAX_VERTICES or m < 0:
+        return None
+    edges = []
+    for row in rows[1:]:
+        if len(row) != 3 or row[0] != "e":
+            return None
+        u, v = _int(row[1]), _int(row[2])
+        if u is None or v is None or u == v or not (1 <= u <= n and 1 <= v <= n):
+            return None
+        edges.append((u - 1, v - 1))
+    return graph_from_edges(n, edges) if len(edges) == m else None
+
+
 def _expected_mapping(data):
     # g.col is the only graph file the generated headers can name.
     rows = _rows(data)
@@ -320,6 +315,19 @@ _MAP_BYTES = _record_bytes(
     st.sampled_from([*_KG52.labels, *map(str, range(_KG52.n))]),
     st.sampled_from(["10", "-1", "x", "{6,7}", "0 0", ""]),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_FILE_BYTES, _col_like_bytes()))
+def test_col_reader_fuzz(fuzz_dir, data):
+    # The reader accepts exactly the files whose m edge lines each join two
+    # distinct vertices of 1..n, and reads each one's graph. It builds that
+    # graph unchecked, so the constructor's checks are run here.
+    g = _parses_or_rejects(read_col, fuzz_dir / "fuzz.col", data)
+    assert g == _expected_col(data)
+    if g is not None:
+        assert g.labels is None
+        oracles.assert_passes_constructor_checks(g)
 
 
 @settings(max_examples=300, deadline=None)

@@ -226,7 +226,8 @@ def test_unchecked_builders_pass_the_constructor_checks():
         ("p edge 2 1\ne 1 2 3\n", "expected 'e <u> <v>'"),
         ("p edge 2 1\ne 1 x\n", "non-integer endpoint"),
         ("p edge 2 1\np edge 2 1\ne 1 2\n", "duplicate problem line"),
-        # Lines a three-field fast path could misread, each at line 2.
+        # An edge line is checked in one order: its first field, its field
+        # count, integer endpoints, their range, then loops. Each reads at line 2.
         ("p edge 2 1\nx 1 2\n", ":2: unknown line type 'x'"),
         ("p edge 2 1\ne 1\n", ":2: expected 'e <u> <v>'"),
         ("p edge 2 1\ne\n", ":2: expected 'e <u> <v>'"),
@@ -234,6 +235,9 @@ def test_unchecked_builders_pass_the_constructor_checks():
         ("p edge 2 1\ne 0 1\n", r":2: endpoint of \(0, 1\) outside 1..2"),
         ("p edge 2 1\ne 3 3\n", r":2: endpoint of \(3, 3\) outside 1..2"),
         ("p edge 2 1\ne x 1\n", ":2: non-integer endpoint"),
+        ("p edge 2 1\np\n", ":2: duplicate problem line"),
+        ("p edge 2 1\nx 1\n", ":2: unknown line type 'x'"),
+        ("p edge 2 1\ne 0 x\n", ":2: non-integer endpoint"),
     ],
 )
 def test_col_malformed_files(tmp_path, body, fragment):

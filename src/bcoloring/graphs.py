@@ -290,37 +290,26 @@ def read_col(path) -> Graph:
     adj = [0] * n
     found = 0
     for lineno, parts in records:
+        kind = parts[0]
+        if kind != "e":
+            reason = "duplicate problem line" if kind == "p" else f"unknown line type {kind!r}"
+            raise FileFormatError(path, lineno, reason)
+        if len(parts) != 3:
+            raise FileFormatError(path, lineno, "expected 'e <u> <v>'")
         try:
-            e, u, v = parts
-            u, v = int(u) - 1, int(v) - 1
+            u, v = int(parts[1]), int(parts[2])
         except ValueError:
-            e = None
-        if e == "e" and 0 <= u < n and 0 <= v < n and u != v:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            found += 1
-        else:
-            raise FileFormatError(path, lineno, _body_line_fault(parts, n))
+            raise FileFormatError(path, lineno, "non-integer endpoint")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise FileFormatError(path, lineno, f"endpoint of ({u}, {v}) outside 1..{n}")
+        if u == v:
+            raise FileFormatError(path, lineno, f"self-loop at vertex {u}")
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+        found += 1
     if found != declared:
         raise FileFormatError(path, header, f"declared {declared} edges, found {found}")
     return Graph._built(n, adj, _read_label_sidecar(path, n))
-
-
-def _body_line_fault(parts, n):
-    """Why the fields of a .col line after the header are not an edge of a graph on n vertices."""
-    if parts[0] == "p":
-        return "duplicate problem line"
-    if parts[0] != "e":
-        return f"unknown line type {parts[0]!r}"
-    if len(parts) != 3:
-        return "expected 'e <u> <v>'"
-    try:
-        u, v = int(parts[1]), int(parts[2])
-    except ValueError:
-        return "non-integer endpoint"
-    if not (1 <= u <= n and 1 <= v <= n):
-        return f"endpoint of ({u}, {v}) outside 1..{n}"
-    return f"self-loop at vertex {u}"
 
 
 def _label_fault(labels):

@@ -73,19 +73,19 @@ class SlsCertificate(_Record):
         super().__init__(witness, neighbor_witness)
 
     def verify(self, f: VertexMap) -> bool:
+        """True iff f is a homomorphism and every witness is a source vertex that holds."""
         source, target = f.source, f.target
+        vertices = range(source.n)
         for u in range(target.n):
             a = self.witness.get(u)
-            if a is None or f.mapping[a] != u:
+            if a not in vertices or f.mapping[a] != u:
                 return False
             around = self.neighbor_witness.get(u, {})
             for v in iter_bits(target.adj[u]):
                 b = around.get(v)
-                if b is None or f.mapping[b] != v:
+                if b not in vertices or f.mapping[b] != v or not (source.adj[a] >> b) & 1:
                     return False
-                if not (source.adj[a] >> b) & 1:
-                    return False
-        return True
+        return is_homomorphism(f)
 
 
 class SlsVerdict(_Record):

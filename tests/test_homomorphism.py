@@ -269,8 +269,17 @@ def test_certificate_verify_rejects_each_broken_witness():
         SlsCertificate(cert.witness, {**cert.neighbor_witness, 0: without_v}),
         # it is a preimage of v, but not adjacent to witness[0]
         SlsCertificate(cert.witness, {**cert.neighbor_witness, 0: {**around, v: far}}),
+        # witnesses that are not source vertices: past the last one, or
+        # negative, which as an index would read a real vertex from the end
+        SlsCertificate({x: b + f.source.n for x, b in cert.witness.items()}, cert.neighbor_witness),
+        SlsCertificate({x: b - f.source.n for x, b in cert.witness.items()}, cert.neighbor_witness),
+        SlsCertificate(cert.witness, {x: {y: b - f.source.n for y, b in ys.items()}
+                                      for x, ys in cert.neighbor_witness.items()}),
     ]
     assert not any(c.verify(f) for c in broken)
+    # Every witness holds, but the edge {0, 1} of K_3 collapses: no homomorphism.
+    collapse = VertexMap(complete_graph(3), complete_graph(2), (0, 0, 1))
+    assert not SlsCertificate({0: 0, 1: 2}, {0: {1: 2}, 1: {0: 0}}).verify(collapse)
 
 
 def test_lift_of_kg52_witness_is_colorful_on_kg73():

@@ -298,11 +298,9 @@ def _build_parser():
     lift.add_argument("-c", "--coloring", required=True)
     lift.add_argument("-o", "--output", required=True)
 
-    fixture = top.add_parser("fixture", help="export built-in fixtures")
+    fixture = leaf(top, "fixture", _cmd_fixture, help="export built-in fixtures")
     fixture.add_argument("name", choices=["kg73", "petersen", "q3", "heawood"])
     fixture.add_argument("-o", "--output", required=True, help="output directory")
-    fixture.set_defaults(handler=_cmd_fixture)
-    leaves.append(fixture)
 
     graph = top.add_parser("graph", help="structural predicates").add_subparsers(
         dest="subcommand", required=True

@@ -594,6 +594,12 @@ def find_colorful_coloring(g: Graph, k: int, budget: Budget | None = None) -> Se
     backtracking at every stage. Any colorful k-coloring can be
     color-permuted so its sorted witness tuple appears this way, so
     exhausting the tuples is a complete search.
+
+    On a disconnected graph the search can go back into components it has
+    already finished when a later one fails (ROADMAP item 11). At k = 3,
+    the Chvatal graph after one K_{5,5} is NOT_EXISTS in 372,296 nodes, and
+    after two it is BUDGET_EXCEEDED under a 5 s budget. Pass a budget on
+    such a graph: the default allows 600 s.
     """
     if k < 1:
         raise InputError("k must be at least 1")

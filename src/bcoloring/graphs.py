@@ -297,15 +297,15 @@ def read_col(path) -> Graph:
         if len(parts) != 3:
             raise FileFormatError(path, lineno, "expected 'e <u> <v>'")
         try:
-            u, v = int(parts[1]), int(parts[2])
+            u, v = int(parts[1]) - 1, int(parts[2]) - 1
         except ValueError:
             raise FileFormatError(path, lineno, "non-integer endpoint")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise FileFormatError(path, lineno, f"endpoint of ({u}, {v}) outside 1..{n}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise FileFormatError(path, lineno, f"endpoint of ({u + 1}, {v + 1}) outside 1..{n}")
         if u == v:
-            raise FileFormatError(path, lineno, f"self-loop at vertex {u}")
-        adj[u - 1] |= 1 << (v - 1)
-        adj[v - 1] |= 1 << (u - 1)
+            raise FileFormatError(path, lineno, f"self-loop at vertex {u + 1}")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
         found += 1
     if found != declared:
         raise FileFormatError(path, header, f"declared {declared} edges, found {found}")

@@ -3,6 +3,9 @@
 Exit status: 0 = verified/true, 1 = refuted/false, 2 = inconclusive
 (budget ran out), 3 = input or usage error, 4 = unexpected internal
 error. Reports are "key value" lines, or one flat JSON object with --json.
+
+The coloring, kneser and fixtures modules are imported inside the handlers
+that use them, so each call loads only what its subcommand runs.
 """
 
 from __future__ import annotations
@@ -12,16 +15,6 @@ import json
 import os
 import sys
 
-from . import fixtures
-from .coloring import (
-    Budget,
-    b_spectrum,
-    chromatic_number,
-    is_colorful,
-    is_proper,
-    read_coloring,
-    write_coloring,
-)
 from .errors import InputError
 from .graphs import (
     INFINITE_GIRTH,
@@ -42,7 +35,6 @@ from .homomorphism import (
     read_map,
     write_map,
 )
-from .kneser import kneser_graph
 
 
 def _emit(pairs, as_json):
@@ -63,6 +55,8 @@ def _emit(pairs, as_json):
 # kneser
 
 def _cmd_kneser_gen(args):
+    from .kneser import kneser_graph
+
     kg = kneser_graph(args.n, args.m)
     write_col(kg.graph, args.output, comment=f"Kneser graph KG({args.n},{args.m})")
     _emit(
@@ -81,6 +75,8 @@ def _cmd_kneser_gen(args):
 # color
 
 def _cmd_color_verify(args):
+    from .coloring import is_colorful, is_proper, read_coloring
+
     g = read_col(args.graph)
     c = read_coloring(args.coloring, g)
     if args.colorful:
@@ -97,6 +93,8 @@ def _cmd_color_verify(args):
 
 
 def _cmd_color_chromatic(args):
+    from .coloring import chromatic_number, write_coloring
+
     g = read_col(args.graph)
     chi, witness = chromatic_number(g)
     pairs = [("chi", chi)]
@@ -108,6 +106,8 @@ def _cmd_color_chromatic(args):
 
 
 def _cmd_color_bspectrum(args):
+    from .coloring import Budget, b_spectrum, write_coloring
+
     g = read_col(args.graph)
     budget = None
     if args.budget is not None or args.seconds is not None:
@@ -176,6 +176,8 @@ def _cmd_hom_compose(args):
 
 
 def _cmd_hom_lift(args):
+    from .coloring import read_coloring, write_coloring
+
     f = read_map(args.map)
     c = read_coloring(args.coloring, f.target)
     lifted = lift_coloring(f, c)
@@ -188,6 +190,10 @@ def _cmd_hom_lift(args):
 # fixture
 
 def _cmd_fixture(args):
+    from . import fixtures
+    from .coloring import write_coloring
+    from .kneser import kneser_graph
+
     os.makedirs(args.output, exist_ok=True)
     name = args.name
     pairs = []

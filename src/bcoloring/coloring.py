@@ -15,51 +15,9 @@ from __future__ import annotations
 import time
 from enum import Enum
 
-from .errors import FileFormatError, InputError
+from .errors import FileFormatError, InputError, _Record
 from .graphs import MAX_VERTICES, Graph, _first_meeting, _preimages, _read_fields, _read_header
 from .graphs import _read_vertex_records, _write_vertex_records, iter_bits
-
-
-class _Record:
-    """Immutable value record: its fields are its __slots__, in constructor order.
-
-    __init__ sets each field once; assignment and deletion then raise
-    AttributeError. Records compare and hash by the values of _key (every
-    field unless a subclass narrows it), repr as Name(field=value, ...), and
-    copy and pickle by calling the constructor with the fields again.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    _key = _fields
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
 
 class Coloring(_Record):

@@ -1,4 +1,4 @@
-"""Error types shared by the whole package."""
+"""Error types and the value-record base shared by the whole package."""
 
 
 class InputError(ValueError):
@@ -13,3 +13,45 @@ class FileFormatError(InputError):
         self.path = str(path)
         self.lineno = lineno
         self.reason = message
+
+
+class _Record:
+    """Immutable value record: its fields are its __slots__, in constructor order.
+
+    __init__ sets each field once; assignment and deletion then raise
+    AttributeError. Records compare and hash by the values of _key (every
+    field unless a subclass narrows it), repr as Name(field=value, ...), and
+    copy and pickle by calling the constructor with the fields again.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    _key = _fields
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()

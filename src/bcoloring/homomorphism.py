@@ -9,17 +9,19 @@ only the verdict and re-checks its lift with is_colorful.
 Also here: the explicit KG(n+2, m+1) -> KG(n, m) step homomorphism, map
 composition, coloring lifting along an SLS map, and the bridge between
 colorful k-colorings and SLS maps into complete graphs.
+
+Only errors and graphs are imported here. The functions that need the
+coloring or kneser module import it in their bodies, so that a command
+which only reads and checks maps never loads the searches.
 """
 
 from __future__ import annotations
 
 import os
 
-from .coloring import Coloring, _Record, is_colorful, is_proper
-from .errors import InputError
+from .errors import InputError, _Record
 from .graphs import Graph, _first_meeting, _preimages, _read_fields, _read_header, _resolve_vertex
 from .graphs import _read_vertex_records, _write_vertex_records, complete_graph, iter_bits, read_col
-from .kneser import kneser_graph
 
 
 class VertexMap(_Record):
@@ -149,6 +151,8 @@ def kneser_step_hom(n: int, m: int) -> VertexMap:
     maximum; a subset containing both maps to (A minus {n+1, n+2}) plus
     the largest element of [n] outside A.
     """
+    from .kneser import kneser_graph
+
     if m < 1 or n <= 2 * m:
         raise InputError(f"step homomorphism needs n > 2m >= 2, got n={n}, m={m}")
     src = kneser_graph(n + 2, m + 1)
@@ -171,6 +175,8 @@ def lift_coloring(f: VertexMap, c: Coloring) -> Coloring:
     b-dominating vertex for class i can be taken as the certificate
     witness of the target's class-i witness.
     """
+    from .coloring import Coloring, is_colorful
+
     verdict = is_semi_locally_surjective(f)
     if not verdict.ok:
         raise InputError(f"map is not semi-locally-surjective: {verdict.reason}")
@@ -185,6 +191,8 @@ def lift_coloring(f: VertexMap, c: Coloring) -> Coloring:
 
 def coloring_as_hom(g: Graph, c: Coloring) -> VertexMap:
     """View a proper coloring with k nonempty classes as a map into K_k."""
+    from .coloring import is_proper
+
     if not is_proper(g, c):
         raise InputError("coloring is not proper")
     used = set(c.colors)
@@ -196,6 +204,8 @@ def coloring_as_hom(g: Graph, c: Coloring) -> VertexMap:
 
 def hom_as_coloring(f: VertexMap) -> Coloring:
     """Read a map into a complete graph back as a coloring (vertex i = color i+1)."""
+    from .coloring import Coloring
+
     k = f.target.n
     if f.target.edge_count() != k * (k - 1) // 2:
         raise InputError("target is not a complete graph")

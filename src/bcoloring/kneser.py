@@ -56,12 +56,21 @@ class KneserGraph:
         ground = range(1, n + 1)
         subsets = tuple(sorted(combinations(ground, m), key=lambda s: s[::-1]))
         index = {s: i for i, s in enumerate(subsets)}
-        # The neighbours of a subset are the m-subsets of its complement. Disjointness is symmetric
-        # and no subset (m >= 1) is disjoint from itself, so Graph._built need not check the rows.
-        adj = [
-            sum(1 << index[b] for b in combinations([x for x in ground if x not in s], m))
-            for s in subsets
-        ]
+        # member[x] is the mask of the subsets that hold x, so the neighbours of a subset, the
+        # subsets disjoint from it, are everyone outside the union of its members' masks.
+        # Disjointness is symmetric and no subset (m >= 1) is disjoint from itself, so
+        # Graph._built need not check the rows.
+        member = [0] * (n + 1)
+        for i, s in enumerate(subsets):
+            for x in s:
+                member[x] |= 1 << i
+        everyone = (1 << count) - 1
+        adj = []
+        for s in subsets:
+            hit = 0
+            for x in s:
+                hit |= member[x]
+            adj.append(everyone ^ hit)
         self.n = n
         self.m = m
         self.subsets = subsets

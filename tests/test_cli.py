@@ -5,7 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bcoloring import cli
+import bcoloring
+from bcoloring import coloring
 from bcoloring.cli import main
 from bcoloring.coloring import Coloring, SearchStatus, is_colorful, read_coloring, write_coloring
 from bcoloring.fixtures import q3
@@ -303,7 +304,7 @@ def test_unexpected_error_exit_code(tmp_path, capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(cli, "b_spectrum", crash)
+    monkeypatch.setattr(coloring, "b_spectrum", crash)
     write_col(q3(), tmp_path / "q3.col")
     code, out, err = run(capsys, "color", "bspectrum", "-g", str(tmp_path / "q3.col"))
     assert code == 4 and out == ""
@@ -383,12 +384,47 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     assert namespace["result"].status is SearchStatus.FOUND
 
 
+def _modules_after(script):
+    """The names in sys.modules once script has run in a fresh interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script += "\nimport sys; print(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.split())
+
+
 def test_cli_import_loads_no_dataclasses():
     # Every CLI call pays for what `import bcoloring.cli` loads; dataclasses
     # brings inspect, dis, ast and tokenize with it, which nothing here needs.
-    src = Path(__file__).resolve().parent.parent / "src"
-    script = "import sys, bcoloring.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert not {"dataclasses", "inspect"} & _modules_after("import bcoloring.cli")
+
+
+def test_hom_verify_loads_no_search_modules(tmp_path):
+    # A CLI call compiles only what its subcommand runs: checking a map needs
+    # the graph reader and the SLS check, not the searches or the fixtures.
+    step = tmp_path / "step.map"
+    assert main(["hom", "kneser-step", "-n", "5", "-m", "2", "-o", str(step)]) == 0
+    call = ["hom", "verify", "-f", str(step)]
+    loaded = _modules_after(f"from bcoloring import cli; assert cli.main({call!r}) == 0")
+    assert "bcoloring.homomorphism" in loaded
+    assert not loaded & {"bcoloring.coloring", "bcoloring.kneser", "bcoloring.fixtures"}
+
+
+def test_kneser_gen_loads_no_coloring_or_fixtures(tmp_path):
+    call = ["kneser", "gen", "-n", "5", "-m", "2", "-o", str(tmp_path / "kg52.col")]
+    loaded = _modules_after(f"from bcoloring import cli; assert cli.main({call!r}) == 0")
+    assert "bcoloring.kneser" in loaded
+    assert not loaded & {"bcoloring.coloring", "bcoloring.fixtures"}
+
+
+def test_package_namespace_covers_every_public_name():
+    namespace = {}
+    exec("from bcoloring import *", namespace)
+    public = set(bcoloring.__all__)
+    assert public <= set(namespace) and public <= set(dir(bcoloring))
+    for name in ("Coloring", "kneser_graph", "read_map", "graph_from_edges", "InputError"):
+        assert name in public
+    for name in public:
+        module = sys.modules[f"bcoloring.{bcoloring._MODULE_OF[name]}"]
+        assert namespace[name] is getattr(module, name), name

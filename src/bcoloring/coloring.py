@@ -531,6 +531,8 @@ class SearchResult(_Record):
     nodes: int
 
     def __init__(self, status: SearchStatus, coloring: Coloring | None = None, nodes: int = 0):
+        if (status is SearchStatus.FOUND) != (coloring is not None):
+            raise InputError("a result carries a coloring exactly when its status is FOUND")
         super().__init__(status, coloring, nodes)
 
     @property
@@ -582,37 +584,45 @@ def find_colorful_coloring(g: Graph, k: int, budget: Budget | None = None) -> Se
 # b-spectrum
 
 class BSpectrumReport(_Record):
-    """B(G) as computed: chi = min(spectrum), b = max(spectrum).
+    """B(G) as computed: a colorful witness per k found, and the k left unknown.
 
-    ``unknown`` holds every k whose search ran out of budget; a nonempty
-    unknown set makes the continuity verdict None (unknown) rather than
-    False. Witness colorings all pass is_colorful; equality and the hash
-    ignore them.
+    ``spectrum`` is the set of witnessed k, ``chi`` its least and ``b`` its
+    greatest element; ``continuous`` is None while any k up to ``m_bound``
+    is unknown, else whether the spectrum has no gaps. Equality and the
+    hash compare the witnessed k, not the colorings.
     """
 
-    __slots__ = ("chi", "b", "spectrum", "continuous", "witnesses", "unknown", "m_bound")
-    chi: int
-    b: int
-    spectrum: frozenset[int]
-    continuous: bool | None
+    __slots__ = ("witnesses", "unknown", "m_bound")
     witnesses: dict[int, Coloring]
     unknown: frozenset[int]
     m_bound: int
 
-    def __init__(
-        self,
-        chi: int,
-        b: int,
-        spectrum: frozenset[int],
-        continuous: bool | None,
-        witnesses: dict[int, Coloring],
-        unknown: frozenset[int] = frozenset(),
-        m_bound: int = 0,
-    ):
-        super().__init__(chi, b, spectrum, continuous, witnesses, unknown, m_bound)
+    def __init__(self, witnesses, unknown=frozenset(), m_bound=0):
+        witnesses, unknown = dict(witnesses), frozenset(unknown)
+        if not witnesses:
+            raise InputError("a b-spectrum report needs at least one witness")
+        if not unknown.isdisjoint(witnesses):
+            raise InputError(f"k in {sorted(unknown & witnesses.keys())} witnessed and unknown")
+        super().__init__(witnesses, unknown, m_bound)
+
+    @property
+    def spectrum(self) -> frozenset[int]:
+        return frozenset(self.witnesses)
+
+    @property
+    def chi(self) -> int:
+        return min(self.witnesses)
+
+    @property
+    def b(self) -> int:
+        return max(self.witnesses)
+
+    @property
+    def continuous(self) -> bool | None:
+        return None if self.unknown else len(self.witnesses) == self.b - self.chi + 1
 
     def _key(self):
-        return (self.chi, self.b, self.spectrum, self.continuous, self.unknown, self.m_bound)
+        return (self.spectrum, self.unknown, self.m_bound)
 
 
 def b_spectrum(g: Graph, budget: Budget | None = None) -> BSpectrumReport:
@@ -627,27 +637,15 @@ def b_spectrum(g: Graph, budget: Budget | None = None) -> BSpectrumReport:
     if not is_colorful(g, chi_witness)[0]:
         raise AssertionError("chromatic witness must be colorful")
     bound = m_degree_bound(g)
-    spectrum = {chi}
     witnesses = {chi: chi_witness}
     unknown = set()
     for k in range(chi + 1, bound + 1):
         result = find_colorful_coloring(g, k, budget)
-        if result.status is SearchStatus.FOUND:
-            spectrum.add(k)
+        if result.found:
             witnesses[k] = result.coloring
         elif result.status is SearchStatus.BUDGET_EXCEEDED:
             unknown.add(k)
-    b = max(spectrum)
-    continuous = None if unknown else spectrum == set(range(chi, b + 1))
-    return BSpectrumReport(
-        chi=chi,
-        b=b,
-        spectrum=frozenset(spectrum),
-        continuous=continuous,
-        witnesses=witnesses,
-        unknown=frozenset(unknown),
-        m_bound=bound,
-    )
+    return BSpectrumReport(witnesses, unknown, bound)
 
 
 # ---------------------------------------------------------------------------

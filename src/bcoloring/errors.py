@@ -20,8 +20,10 @@ class _Record:
 
     __init__ sets each field once; assignment and deletion then raise
     AttributeError. Records compare and hash by the values of _key (every
-    field unless a subclass narrows it), repr as Name(field=value, ...), and
-    copy and pickle by calling the constructor with the fields again.
+    field unless a subclass narrows it), so a record hashes only when those
+    values do: a VertexMap holds Graphs and an SlsCertificate dicts, and
+    neither hashes. Records repr as Name(field=value, ...), and copy and
+    pickle by calling the constructor with the fields again.
     """
 
     __slots__ = ()

@@ -91,20 +91,19 @@ class SlsCertificate(_Record):
 
 
 class SlsVerdict(_Record):
-    __slots__ = ("ok", "certificate", "failing_vertex", "reason")
-    ok: bool
+    """An SLS decision: Yes exactly when it holds a certificate, else a reason why not."""
+
+    __slots__ = ("certificate", "failing_vertex", "reason")
     certificate: SlsCertificate | None
     failing_vertex: int | None
     reason: str | None
 
-    def __init__(
-        self,
-        ok: bool,
-        certificate: SlsCertificate | None = None,
-        failing_vertex: int | None = None,
-        reason: str | None = None,
-    ):
-        super().__init__(ok, certificate, failing_vertex, reason)
+    def __init__(self, certificate=None, failing_vertex=None, reason=None):
+        super().__init__(certificate, failing_vertex, reason)
+
+    @property
+    def ok(self) -> bool:
+        return self.certificate is not None
 
     def __bool__(self):
         return self.ok
@@ -120,10 +119,10 @@ def is_semi_locally_surjective(f: VertexMap) -> SlsVerdict:
     neighbor_witness[u][v] the least preimage of v adjacent to it.
     """
     if not is_homomorphism(f):
-        return SlsVerdict(False, reason="not a graph homomorphism")
+        return SlsVerdict(reason="not a graph homomorphism")
     pre = _preimages(f.mapping, f.target.n)
     if 0 in pre:
-        return SlsVerdict(False, failing_vertex=pre.index(0), reason="not surjective")
+        return SlsVerdict(failing_vertex=pre.index(0), reason="not surjective")
     witness = {}
     neighbor_witness = {}
     source_adj = f.source.adj
@@ -131,10 +130,10 @@ def is_semi_locally_surjective(f: VertexMap) -> SlsVerdict:
         targets = list(iter_bits(row))
         a = _first_meeting(source_adj, pre[u], [pre[v] for v in targets])
         if a is None:
-            return SlsVerdict(False, failing_vertex=u, reason="no valid preimage witness")
+            return SlsVerdict(failing_vertex=u, reason="no valid preimage witness")
         witness[u] = a
         neighbor_witness[u] = {v: next(iter_bits(source_adj[a] & pre[v])) for v in targets}
-    return SlsVerdict(True, SlsCertificate(witness, neighbor_witness))
+    return SlsVerdict(SlsCertificate(witness, neighbor_witness))
 
 
 def compose(f: VertexMap, g: VertexMap) -> VertexMap:

@@ -36,19 +36,10 @@ RECORDS = [
         "SearchResult(status=<SearchStatus.FOUND: 'found'>, coloring=Coloring(k=2, colors=(1, 2)), nodes=3)",
     ),
     (
-        {
-            "chi": 2,
-            "b": 2,
-            "spectrum": frozenset({2}),
-            "continuous": True,
-            "witnesses": {2: C12},
-            "unknown": frozenset({3}),
-            "m_bound": 3,
-        },
+        {"witnesses": {2: C12}, "unknown": frozenset({3}), "m_bound": 3},
         BSpectrumReport,
         ("m_bound", 4),
-        "BSpectrumReport(chi=2, b=2, spectrum=frozenset({2}), continuous=True, "
-        "witnesses={2: Coloring(k=2, colors=(1, 2))}, unknown=frozenset({3}), m_bound=3)",
+        "BSpectrumReport(witnesses={2: Coloring(k=2, colors=(1, 2))}, unknown=frozenset({3}), m_bound=3)",
     ),
     (
         {"source": K2, "target": K2, "mapping": (1, 0)},
@@ -63,10 +54,10 @@ RECORDS = [
         "SlsCertificate(witness={0: 1, 1: 0}, neighbor_witness={0: {1: 0}, 1: {0: 1}})",
     ),
     (
-        {"ok": True, "certificate": CERT, "failing_vertex": None, "reason": None},
+        {"certificate": CERT, "failing_vertex": None, "reason": None},
         SlsVerdict,
         ("reason", "why"),
-        "SlsVerdict(ok=True, certificate=SlsCertificate(witness={0: 1, 1: 0}, "
+        "SlsVerdict(certificate=SlsCertificate(witness={0: 1, 1: 0}, "
         "neighbor_witness={0: {1: 0}, 1: {0: 1}}), failing_vertex=None, reason=None)",
     ),
 ]
@@ -90,11 +81,56 @@ def test_defaults():
     result = SearchResult(SearchStatus.NOT_EXISTS)
     assert (result.coloring, result.nodes, result.found) == (None, 0, False)
     assert SearchResult(SearchStatus.FOUND, C12).found
-    report = BSpectrumReport(1, 1, frozenset({1}), True, {})
+    report = BSpectrumReport({1: Coloring(1, (1,))})
     assert (report.unknown, report.m_bound) == (frozenset(), 0)
-    verdict = SlsVerdict(False)
+    verdict = SlsVerdict()
     assert (verdict.certificate, verdict.failing_vertex, verdict.reason) == (None, None, None)
-    assert not verdict and SlsVerdict(True)
+    assert not verdict and not verdict.ok
+    assert SlsVerdict(CERT) and SlsVerdict(CERT).ok
+
+
+def _report(ks, unknown=()):
+    return BSpectrumReport({k: Coloring(k, range(1, k + 1)) for k in ks}, unknown, 6)
+
+
+@pytest.mark.parametrize(
+    "report, chi, b, continuous",
+    [
+        (_report([3]), 3, 3, True),
+        (_report([2, 3, 4]), 2, 4, True),
+        (_report([2, 4]), 2, 4, False),
+        (_report([2, 3], unknown=[5]), 2, 3, None),
+        (_report([2, 4], unknown={3}), 2, 4, None),
+    ],
+)
+def test_spectrum_report_reads_its_values_off_the_witnesses(report, chi, b, continuous):
+    assert report.spectrum == frozenset(report.witnesses)
+    assert (report.chi, report.b, report.continuous) == (chi, b, continuous)
+    assert type(report.spectrum) is frozenset and type(report.unknown) is frozenset
+
+
+def test_spectrum_report_copies_its_witness_map():
+    witnesses = {2: C12}
+    report = BSpectrumReport(witnesses)
+    witnesses[3] = Coloring(3, (1, 2, 3))
+    assert report.witnesses == {2: C12} and report.spectrum == {2}
+
+
+@pytest.mark.parametrize(
+    "record, names",
+    [
+        (BSpectrumReport({2: C12}), ("chi", "b", "spectrum", "continuous")),
+        (SlsVerdict(CERT), ("ok",)),
+    ],
+)
+def test_derived_values_cannot_be_assigned(record, names):
+    for name in names:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) == before
 
 
 def test_sequences_become_tuples():
@@ -117,6 +153,16 @@ def test_sequences_become_tuples():
         (lambda: VertexMap(K2, K2, (0,)), "map covers 1 vertices, source has 2"),
         (lambda: VertexMap(K2, K2, [0, 2]), "image 2 of vertex 1 outside target range"),
         (lambda: VertexMap(K2, K2, (-1, 0)), "image -1 of vertex 0 outside target range"),
+        (lambda: BSpectrumReport({}), "a b-spectrum report needs at least one witness"),
+        (lambda: BSpectrumReport({2: C12}, {2, 3}), "k in [2] witnessed and unknown"),
+        (
+            lambda: SearchResult(SearchStatus.FOUND),
+            "a result carries a coloring exactly when its status is FOUND",
+        ),
+        (
+            lambda: SearchResult(SearchStatus.NOT_EXISTS, C12),
+            "a result carries a coloring exactly when its status is FOUND",
+        ),
     ],
 )
 def test_invalid_fields_are_input_errors(make, message):
@@ -138,8 +184,9 @@ def test_equality_is_by_field_value(fields, cls, changed, text):
 def test_spectrum_report_equality_ignores_witnesses():
     fields = RECORDS[3][0]
     report = BSpectrumReport(**fields)
-    assert report == BSpectrumReport(**{**fields, "witnesses": {}})
-    assert hash(report) == hash(BSpectrumReport(**{**fields, "witnesses": {}}))
+    twin = BSpectrumReport(**{**fields, "witnesses": {2: Coloring(2, (2, 1))}})
+    assert report == twin and hash(report) == hash(twin)
+    assert report != BSpectrumReport(**{**fields, "witnesses": {4: Coloring(4, (1, 2, 3, 4))}})
     assert report != BSpectrumReport(**{**fields, "unknown": frozenset()})
 
 
@@ -151,6 +198,13 @@ def test_equal_records_hash_equal():
         SearchResult(status=SearchStatus.FOUND, coloring=C12, nodes=3)
     )
     assert len({C12, Coloring(2, (1, 2)), Coloring(2, (2, 1))}) == 2
+
+
+def test_records_hash_only_when_their_values_do():
+    assert hash(SlsVerdict(failing_vertex=1, reason="why")) == hash(SlsVerdict(None, 1, "why"))
+    for record in (VertexMap(K2, K2, (1, 0)), CERT, SlsVerdict(CERT)):
+        with pytest.raises(TypeError):
+            hash(record)
 
 
 @pytest.mark.parametrize("fields, cls, changed, text", RECORDS, ids=IDS)

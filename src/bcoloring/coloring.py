@@ -588,8 +588,9 @@ class BSpectrumReport(_Record):
 
     ``spectrum`` is the set of witnessed k, ``chi`` its least and ``b`` its
     greatest element; ``continuous`` is None while any k up to ``m_bound``
-    is unknown, else whether the spectrum has no gaps. Equality and the
-    hash compare the witnessed k, not the colorings.
+    is unknown, else whether the spectrum has no gaps. Each witness is a
+    coloring with its key's k, and no k lies above ``m_bound``. Equality and
+    the hash compare the witnessed k, not the colorings.
     """
 
     __slots__ = ("witnesses", "unknown", "m_bound")
@@ -597,12 +598,18 @@ class BSpectrumReport(_Record):
     unknown: frozenset[int]
     m_bound: int
 
-    def __init__(self, witnesses, unknown=frozenset(), m_bound=0):
+    def __init__(self, witnesses, unknown, m_bound):
         witnesses, unknown = dict(witnesses), frozenset(unknown)
         if not witnesses:
             raise InputError("a b-spectrum report needs at least one witness")
         if not unknown.isdisjoint(witnesses):
             raise InputError(f"k in {sorted(unknown & witnesses.keys())} witnessed and unknown")
+        for k, c in witnesses.items():
+            if c.k != k:
+                raise InputError(f"the witness for k={k} is a {c.k}-coloring")
+        above = sorted(k for k in unknown | witnesses.keys() if k > m_bound)
+        if above:
+            raise InputError(f"k in {above} above m_bound={m_bound}")
         super().__init__(witnesses, unknown, m_bound)
 
     @property

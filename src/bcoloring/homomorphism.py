@@ -2,9 +2,9 @@
 
 A vertex map f: G -> H is SLS when it is a surjective homomorphism and
 every target vertex u has a preimage witness a such that every target
-neighbor v of u has a preimage b adjacent to a. Verification returns a
-full certificate that SlsCertificate.verify re-checks; lift_coloring uses
-only the verdict and re-checks its lift with is_colorful.
+neighbor v of u has a preimage b adjacent to a. Verification returns the
+witness map, which SlsCertificate.verify re-checks by the rule that found
+it; lift_coloring uses only the verdict and re-checks its lift with is_colorful.
 
 Also here: the explicit KG(n+2, m+1) -> KG(n, m) step homomorphism, map
 composition, coloring lifting along an SLS map, and the bridge between
@@ -60,33 +60,24 @@ def is_surjective(f: VertexMap) -> bool:
 
 
 class SlsCertificate(_Record):
-    """Witness data for the SLS condition, checkable edge by edge.
+    """The SLS witness map: witness[u] is a preimage of target vertex u whose
+    source row meets the preimage of every target neighbor of u."""
 
-    witness[u] is a preimage of target vertex u; neighbor_witness[u][v],
-    for each target neighbor v of u, is a preimage of v adjacent to
-    witness[u] in the source.
-    """
-
-    __slots__ = ("witness", "neighbor_witness")
+    __slots__ = ("witness",)
     witness: dict[int, int]
-    neighbor_witness: dict[int, dict[int, int]]
 
-    def __init__(self, witness: dict[int, int], neighbor_witness: dict[int, dict[int, int]]):
-        super().__init__(witness, neighbor_witness)
+    def __init__(self, witness: dict[int, int]):
+        super().__init__(witness)
 
     def verify(self, f: VertexMap) -> bool:
-        """True iff f is a homomorphism and every witness is a source vertex that holds."""
-        source, target = f.source, f.target
-        vertices = range(source.n)
-        for u in range(target.n):
+        """True iff f is a homomorphism and every witness passes the rule that finds it."""
+        pre = _preimages(f.mapping, f.target.n)
+        for u, row in enumerate(f.target.adj):
             a = self.witness.get(u)
-            if a not in vertices or f.mapping[a] != u:
+            if a not in range(f.source.n):  # refused before 1 << a can raise or allocate
                 return False
-            around = self.neighbor_witness.get(u, {})
-            for v in iter_bits(target.adj[u]):
-                b = around.get(v)
-                if b not in vertices or f.mapping[b] != v or not (source.adj[a] >> b) & 1:
-                    return False
+            if _first_meeting(f.source.adj, pre[u] & (1 << a), [pre[v] for v in iter_bits(row)]) != a:
+                return False
         return is_homomorphism(f)
 
 
@@ -99,6 +90,8 @@ class SlsVerdict(_Record):
     reason: str | None
 
     def __init__(self, certificate=None, failing_vertex=None, reason=None):
+        if certificate is not None and (failing_vertex, reason) != (None, None):
+            raise InputError("an SLS verdict with a certificate has no failing vertex or reason")
         super().__init__(certificate, failing_vertex, reason)
 
     @property
@@ -115,8 +108,8 @@ def is_semi_locally_surjective(f: VertexMap) -> SlsVerdict:
     Surjectivity and homomorphism-ness are checked first; failing either
     yields a No with a reason. Witness candidates are scanned in ascending
     source index, so verdicts are deterministic: witness[u] is the least
-    preimage of u adjacent to a preimage of every target neighbor v, and
-    neighbor_witness[u][v] the least preimage of v adjacent to it.
+    preimage of u adjacent to a preimage of every target neighbor, the
+    rule SlsCertificate.verify re-applies.
     """
     if not is_homomorphism(f):
         return SlsVerdict(reason="not a graph homomorphism")
@@ -124,16 +117,12 @@ def is_semi_locally_surjective(f: VertexMap) -> SlsVerdict:
     if 0 in pre:
         return SlsVerdict(failing_vertex=pre.index(0), reason="not surjective")
     witness = {}
-    neighbor_witness = {}
-    source_adj = f.source.adj
     for u, row in enumerate(f.target.adj):
-        targets = list(iter_bits(row))
-        a = _first_meeting(source_adj, pre[u], [pre[v] for v in targets])
+        a = _first_meeting(f.source.adj, pre[u], [pre[v] for v in iter_bits(row)])
         if a is None:
             return SlsVerdict(failing_vertex=u, reason="no valid preimage witness")
         witness[u] = a
-        neighbor_witness[u] = {v: next(iter_bits(source_adj[a] & pre[v])) for v in targets}
-    return SlsVerdict(SlsCertificate(witness, neighbor_witness))
+    return SlsVerdict(SlsCertificate(witness))
 
 
 def compose(f: VertexMap, g: VertexMap) -> VertexMap:

@@ -225,9 +225,13 @@ def test_criterion_11a_bridge_invariant(atlas_graphs):
                         ok = ok and not is_semi_locally_surjective(f).ok
                     continue
                 c = Coloring(k, assign)
-                colorful = is_colorful(g, c)[0]
-                sls = is_semi_locally_surjective(coloring_as_hom(g, c)).ok
-                ok = ok and colorful == sls
+                colorful, witnesses = is_colorful(g, c)
+                verdict = is_semi_locally_surjective(coloring_as_hom(g, c))
+                ok = ok and colorful == verdict.ok
+                if colorful and verdict.ok:
+                    # Class i's witness is the certificate witness of K_k's vertex i-1.
+                    certified = {i + 1: a for i, a in verdict.certificate.witness.items()}
+                    ok = ok and witnesses == certified
                 compared += 1
         if not ok:
             break

@@ -58,6 +58,7 @@ def test_coloring_token_that_is_a_label_names_that_labels_vertex(tmp_path):
         ("k 10001\n0 1\n1 2\n2 1\n", "limit"),
         ("k 2\n0 1 2\n", "expected '<vertex> <color>'"),
         ("k 2\n0 x\n", "non-integer color"),
+        ("k x\n0 1\n", "non-integer color count"),
     ],
 )
 def test_coloring_malformed_files(tmp_path, body, fragment):

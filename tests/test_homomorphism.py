@@ -112,9 +112,6 @@ def test_sls_verdict_matches_brute_force_exhaustively():
                         if all(any(source.has_edge(a, b) for b in pre[v]) for v in around)
                     )
                     assert verdict.certificate.witness[u] == a
-                    assert verdict.certificate.neighbor_witness[u] == {
-                        v: min(b for b in pre[v] if source.has_edge(a, b)) for v in around
-                    }
             elif verdict.reason == "no valid preimage witness":
                 assert not oracles.naive_sls_witness_exists(
                     source, target, mapping, verdict.failing_vertex
@@ -258,28 +255,30 @@ def test_certificate_verify_rejects_each_broken_witness():
     f = kneser_step_hom(5, 2)
     cert = is_semi_locally_surjective(f).certificate
     assert cert.verify(f)
-    a, around = cert.witness[0], cert.neighbor_witness[0]
-    v = next(iter(around))
-    far = next(b for b, t in enumerate(f.mapping) if t == v and not f.source.has_edge(a, b))
-    without_v = {x: b for x, b in around.items() if x != v}
+    w = cert.witness
+    v = f.target.neighbors(0)[0]
+    # Source vertex 0 maps to 0 and precedes the least witness, so it misses
+    # the preimage of some neighbor of 0.
+    assert f.mapping[0] == 0 != w[0]
     broken = [
         # witness[0] is a preimage of v, not of 0
-        SlsCertificate({**cert.witness, 0: f.mapping.index(v)}, cert.neighbor_witness),
-        # the neighbor witness of v is missing
-        SlsCertificate(cert.witness, {**cert.neighbor_witness, 0: without_v}),
-        # it is a preimage of v, but not adjacent to witness[0]
-        SlsCertificate(cert.witness, {**cert.neighbor_witness, 0: {**around, v: far}}),
+        SlsCertificate({**w, 0: f.mapping.index(v)}),
+        # the witness of 0 is missing
+        SlsCertificate({x: b for x, b in w.items() if x != 0}),
+        # it is a preimage of 0 that misses the preimage of a neighbor
+        SlsCertificate({**w, 0: 0}),
         # witnesses that are not source vertices: past the last one, or
         # negative, which as an index would read a real vertex from the end
-        SlsCertificate({x: b + f.source.n for x, b in cert.witness.items()}, cert.neighbor_witness),
-        SlsCertificate({x: b - f.source.n for x, b in cert.witness.items()}, cert.neighbor_witness),
-        SlsCertificate(cert.witness, {x: {y: b - f.source.n for y, b in ys.items()}
-                                      for x, ys in cert.neighbor_witness.items()}),
+        SlsCertificate({x: b + f.source.n for x, b in w.items()}),
+        SlsCertificate({x: b - f.source.n for x, b in w.items()}),
     ]
     assert not any(c.verify(f) for c in broken)
+    # 4, 10 and 20 are the preimages of 0 that see a preimage of every
+    # neighbor of 0; each is accepted, not only the least.
+    assert w[0] == 4 and all(SlsCertificate({**w, 0: a}).verify(f) for a in (10, 20))
     # Every witness holds, but the edge {0, 1} of K_3 collapses: no homomorphism.
     collapse = VertexMap(complete_graph(3), complete_graph(2), (0, 0, 1))
-    assert not SlsCertificate({0: 0, 1: 2}, {0: {1: 2}, 1: {0: 0}}).verify(collapse)
+    assert not SlsCertificate({0: 0, 1: 2}).verify(collapse)
 
 
 def test_lift_of_kg52_witness_is_colorful_on_kg73():

@@ -13,7 +13,7 @@ from bcoloring.homomorphism import SlsCertificate, SlsVerdict, VertexMap
 
 K2 = complete_graph(2)
 C12 = Coloring(2, (1, 2))
-CERT = SlsCertificate({0: 1, 1: 0}, {0: {1: 0}, 1: {0: 1}})
+CERT = SlsCertificate({0: 1, 1: 0})
 
 # Each record with its fields in constructor order, one field changed, and its repr.
 RECORDS = [
@@ -48,17 +48,16 @@ RECORDS = [
         "VertexMap(source=Graph(n=2, edges=1), target=Graph(n=2, edges=1), mapping=(1, 0))",
     ),
     (
-        {"witness": {0: 1, 1: 0}, "neighbor_witness": {0: {1: 0}, 1: {0: 1}}},
+        {"witness": {0: 1, 1: 0}},
         SlsCertificate,
         ("witness", {0: 0, 1: 1}),
-        "SlsCertificate(witness={0: 1, 1: 0}, neighbor_witness={0: {1: 0}, 1: {0: 1}})",
+        "SlsCertificate(witness={0: 1, 1: 0})",
     ),
     (
         {"certificate": CERT, "failing_vertex": None, "reason": None},
         SlsVerdict,
-        ("reason", "why"),
-        "SlsVerdict(certificate=SlsCertificate(witness={0: 1, 1: 0}, "
-        "neighbor_witness={0: {1: 0}, 1: {0: 1}}), failing_vertex=None, reason=None)",
+        ("certificate", SlsCertificate({0: 0, 1: 1})),
+        "SlsVerdict(certificate=SlsCertificate(witness={0: 1, 1: 0}), failing_vertex=None, reason=None)",
     ),
 ]
 IDS = [row[1].__name__ for row in RECORDS]
@@ -81,8 +80,8 @@ def test_defaults():
     result = SearchResult(SearchStatus.NOT_EXISTS)
     assert (result.coloring, result.nodes, result.found) == (None, 0, False)
     assert SearchResult(SearchStatus.FOUND, C12).found
-    report = BSpectrumReport({1: Coloring(1, (1,))})
-    assert (report.unknown, report.m_bound) == (frozenset(), 0)
+    with pytest.raises(TypeError):  # no default m_bound could agree with every witness
+        BSpectrumReport({1: Coloring(1, (1,))})
     verdict = SlsVerdict()
     assert (verdict.certificate, verdict.failing_vertex, verdict.reason) == (None, None, None)
     assert not verdict and not verdict.ok
@@ -111,7 +110,7 @@ def test_spectrum_report_reads_its_values_off_the_witnesses(report, chi, b, cont
 
 def test_spectrum_report_copies_its_witness_map():
     witnesses = {2: C12}
-    report = BSpectrumReport(witnesses)
+    report = BSpectrumReport(witnesses, (), 3)
     witnesses[3] = Coloring(3, (1, 2, 3))
     assert report.witnesses == {2: C12} and report.spectrum == {2}
 
@@ -119,7 +118,7 @@ def test_spectrum_report_copies_its_witness_map():
 @pytest.mark.parametrize(
     "record, names",
     [
-        (BSpectrumReport({2: C12}), ("chi", "b", "spectrum", "continuous")),
+        (BSpectrumReport({2: C12}, (), 2), ("chi", "b", "spectrum", "continuous")),
         (SlsVerdict(CERT), ("ok",)),
     ],
 )
@@ -153,8 +152,19 @@ def test_sequences_become_tuples():
         (lambda: VertexMap(K2, K2, (0,)), "map covers 1 vertices, source has 2"),
         (lambda: VertexMap(K2, K2, [0, 2]), "image 2 of vertex 1 outside target range"),
         (lambda: VertexMap(K2, K2, (-1, 0)), "image -1 of vertex 0 outside target range"),
-        (lambda: BSpectrumReport({}), "a b-spectrum report needs at least one witness"),
-        (lambda: BSpectrumReport({2: C12}, {2, 3}), "k in [2] witnessed and unknown"),
+        (lambda: BSpectrumReport({}, (), 0), "a b-spectrum report needs at least one witness"),
+        (lambda: BSpectrumReport({2: C12}, {2, 3}, 3), "k in [2] witnessed and unknown"),
+        (lambda: BSpectrumReport({3: C12}, (), 3), "the witness for k=3 is a 2-coloring"),
+        (lambda: BSpectrumReport({2: C12}, (), 1), "k in [2] above m_bound=1"),
+        (lambda: BSpectrumReport({2: C12}, {3, 4}, 3), "k in [4] above m_bound=3"),
+        (
+            lambda: SlsVerdict(CERT, failing_vertex=1),
+            "an SLS verdict with a certificate has no failing vertex or reason",
+        ),
+        (
+            lambda: SlsVerdict(CERT, reason="why"),
+            "an SLS verdict with a certificate has no failing vertex or reason",
+        ),
         (
             lambda: SearchResult(SearchStatus.FOUND),
             "a result carries a coloring exactly when its status is FOUND",
@@ -186,7 +196,7 @@ def test_spectrum_report_equality_ignores_witnesses():
     report = BSpectrumReport(**fields)
     twin = BSpectrumReport(**{**fields, "witnesses": {2: Coloring(2, (2, 1))}})
     assert report == twin and hash(report) == hash(twin)
-    assert report != BSpectrumReport(**{**fields, "witnesses": {4: Coloring(4, (1, 2, 3, 4))}})
+    assert report != BSpectrumReport(**{**fields, "witnesses": {1: Coloring(1, (1, 1))}})
     assert report != BSpectrumReport(**{**fields, "unknown": frozenset()})
 
 

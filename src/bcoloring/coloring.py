@@ -29,9 +29,13 @@ class Coloring(_Record):
 
     def __init__(self, k: int, colors):
         colors = tuple(colors)
+        if not isinstance(k, int):
+            raise InputError(f"color count {k!r} is not an integer")
         if k < 0:
             raise InputError("color count must be nonnegative")
         for v, c in enumerate(colors):
+            if not isinstance(c, int):
+                raise InputError(f"vertex {v} has color {c!r}, not an integer")
             if not 1 <= c <= k:
                 raise InputError(f"vertex {v} has color {c} outside 1..{k}")
         super().__init__(k, colors)

@@ -21,9 +21,9 @@ class _Record:
     __init__ sets each field once; assignment and deletion then raise
     AttributeError. Records compare and hash by the values of _key (every
     field unless a subclass narrows it), so a record hashes only when those
-    values do: a VertexMap holds Graphs and an SlsCertificate dicts, and
-    neither hashes. Records repr as Name(field=value, ...), and copy and
-    pickle by calling the constructor with the fields again.
+    values do: a VertexMap hashes, as its Graphs do, but an SlsCertificate
+    holds a dict and does not. Records repr as Name(field=value, ...), and
+    copy and pickle by calling the constructor with the fields again.
     """
 
     __slots__ = ()

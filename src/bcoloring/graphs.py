@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 
-from .errors import FileFormatError, InputError
+from .errors import FileFormatError, InputError, _Record
 
 INFINITE_GIRTH = math.inf
 
@@ -47,14 +47,14 @@ def _first_meeting(adj, candidates, required):
     return None
 
 
-class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1.
+class Graph(_Record):
+    """Immutable simple undirected graph on vertices 0..n-1; a copy is checked again.
 
     The constructor rejects self-loops, asymmetric adjacency and
     out-of-range neighbors, so downstream algorithms can assume a clean
     simple graph. ``labels`` is an optional display layer (one string per
-    vertex); no algorithm reads it. Files name vertices by their labels, so
-    each label is one field without whitespace, not "c", and unique.
+    vertex); no algorithm or equality test reads it. Files name vertices by
+    their labels, so each label is one field without whitespace, not "c", and unique.
 
     ``Graph(...)`` and ``graph_from_edges`` check all of this. ``read_col``,
     ``KneserGraph`` and ``complete_graph`` build through ``Graph._built``,
@@ -64,6 +64,9 @@ class Graph:
     """
 
     __slots__ = ("n", "adj", "labels")
+    n: int
+    adj: tuple[int, ...]
+    labels: tuple[str, ...] | None
 
     def __init__(self, n: int, adj, labels=None):
         if n < 0:
@@ -86,17 +89,13 @@ class Graph:
             fault = _label_fault(labels)
             if fault is not None:
                 raise InputError(fault[1])
-        self.n = n
-        self.adj = adj
-        self.labels = labels
+        super().__init__(n, adj, labels)
 
     @classmethod
     def _built(cls, n: int, adj, labels=None) -> Graph:
         """A graph whose rows and labels are valid by construction; nothing is checked."""
         g = cls.__new__(cls)
-        g.n = n
-        g.adj = tuple(adj)
-        g.labels = None if labels is None else tuple(labels)
+        _Record.__init__(g, n, tuple(adj), None if labels is None else tuple(labels))
         return g
 
     def check_vertex(self, v):
@@ -139,8 +138,8 @@ class Graph:
             return {}
         return {lab: v for v, lab in enumerate(self.labels)}
 
-    def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
+    def _key(self):
+        return self.n, self.adj
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count()})"

@@ -37,6 +37,8 @@ class VertexMap(_Record):
         if len(mapping) != source.n:
             raise InputError(f"map covers {len(mapping)} vertices, source has {source.n}")
         for v, image in enumerate(mapping):
+            if not isinstance(image, int):
+                raise InputError(f"image {image!r} of vertex {v} is not an integer")
             if not 0 <= image < target.n:
                 raise InputError(f"image {image} of vertex {v} outside target range")
         super().__init__(source, target, mapping)
@@ -48,9 +50,13 @@ class VertexMap(_Record):
 
 def is_homomorphism(f: VertexMap) -> bool:
     """True iff every source edge maps to a target edge (never collapses)."""
+    return _keeps_edges(f, _preimages(f.mapping, f.target.n))
+
+
+def _keeps_edges(f: VertexMap, pre) -> bool:
+    """is_homomorphism(f), given pre[t], the mask of the preimage of each target vertex t."""
     # Row v must lie inside reach[f(v)], the union (a sum: they are disjoint)
     # of the preimages of the target neighbors of f(v).
-    pre = _preimages(f.mapping, f.target.n)
     reach = [sum(pre[t] for t in iter_bits(row)) for row in f.target.adj]
     return not any(row & ~reach[t] for row, t in zip(f.source.adj, f.mapping))
 
@@ -74,11 +80,12 @@ class SlsCertificate(_Record):
         pre = _preimages(f.mapping, f.target.n)
         for u, row in enumerate(f.target.adj):
             a = self.witness.get(u)
-            if a not in range(f.source.n):  # refused before 1 << a can raise or allocate
+            # Refused before 1 << a can raise or allocate; 1.0 is in range(2).
+            if not isinstance(a, int) or a not in range(f.source.n):
                 return False
             if _first_meeting(f.source.adj, pre[u] & (1 << a), [pre[v] for v in iter_bits(row)]) != a:
                 return False
-        return is_homomorphism(f)
+        return _keeps_edges(f, pre)
 
 
 class SlsVerdict(_Record):
@@ -92,6 +99,8 @@ class SlsVerdict(_Record):
     def __init__(self, certificate=None, failing_vertex=None, reason=None):
         if certificate is not None and (failing_vertex, reason) != (None, None):
             raise InputError("an SLS verdict with a certificate has no failing vertex or reason")
+        if certificate is None and reason is None:
+            raise InputError("an SLS verdict without a certificate needs a reason")
         super().__init__(certificate, failing_vertex, reason)
 
     @property
@@ -111,9 +120,9 @@ def is_semi_locally_surjective(f: VertexMap) -> SlsVerdict:
     preimage of u adjacent to a preimage of every target neighbor, the
     rule SlsCertificate.verify re-applies.
     """
-    if not is_homomorphism(f):
-        return SlsVerdict(reason="not a graph homomorphism")
     pre = _preimages(f.mapping, f.target.n)
+    if not _keeps_edges(f, pre):
+        return SlsVerdict(reason="not a graph homomorphism")
     if 0 in pre:
         return SlsVerdict(failing_vertex=pre.index(0), reason="not surjective")
     witness = {}

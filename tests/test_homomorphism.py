@@ -271,6 +271,8 @@ def test_certificate_verify_rejects_each_broken_witness():
         # negative, which as an index would read a real vertex from the end
         SlsCertificate({x: b + f.source.n for x, b in w.items()}),
         SlsCertificate({x: b - f.source.n for x, b in w.items()}),
+        # the least witness of 0 as a float, which range() holds but 1 << a refuses
+        SlsCertificate({**w, 0: float(w[0])}),
     ]
     assert not any(c.verify(f) for c in broken)
     # 4, 10 and 20 are the preimages of 0 that see a preimage of every

@@ -1,4 +1,4 @@
-"""The seven result records: construction, checks, equality, immutability, copies and repr."""
+"""Graph and the seven result records: construction, checks, equality, immutability, copies, repr."""
 
 import copy
 import math
@@ -8,7 +8,7 @@ import pytest
 
 from bcoloring.coloring import BSpectrumReport, Budget, Coloring, SearchResult, SearchStatus
 from bcoloring.errors import InputError
-from bcoloring.graphs import complete_graph
+from bcoloring.graphs import Graph, complete_graph
 from bcoloring.homomorphism import SlsCertificate, SlsVerdict, VertexMap
 
 K2 = complete_graph(2)
@@ -59,6 +59,12 @@ RECORDS = [
         ("certificate", SlsCertificate({0: 0, 1: 1})),
         "SlsVerdict(certificate=SlsCertificate(witness={0: 1, 1: 0}), failing_vertex=None, reason=None)",
     ),
+    (
+        {"n": 2, "adj": (2, 1), "labels": None},
+        Graph,
+        ("adj", (0, 0)),
+        "Graph(n=2, edges=1)",
+    ),
 ]
 IDS = [row[1].__name__ for row in RECORDS]
 
@@ -82,8 +88,8 @@ def test_defaults():
     assert SearchResult(SearchStatus.FOUND, C12).found
     with pytest.raises(TypeError):  # no default m_bound could agree with every witness
         BSpectrumReport({1: Coloring(1, (1,))})
-    verdict = SlsVerdict()
-    assert (verdict.certificate, verdict.failing_vertex, verdict.reason) == (None, None, None)
+    verdict = SlsVerdict(reason="why")
+    assert (verdict.certificate, verdict.failing_vertex, verdict.reason) == (None, None, "why")
     assert not verdict and not verdict.ok
     assert SlsVerdict(CERT) and SlsVerdict(CERT).ok
 
@@ -145,6 +151,9 @@ def test_sequences_become_tuples():
         (lambda: Coloring(-1, ()), "color count must be nonnegative"),
         (lambda: Coloring(2, (1, 3)), "vertex 1 has color 3 outside 1..2"),
         (lambda: Coloring(2, [0]), "vertex 0 has color 0 outside 1..2"),
+        (lambda: Coloring(2.0, (1, 2)), "color count 2.0 is not an integer"),
+        (lambda: Coloring(2, (1.0, 2)), "vertex 0 has color 1.0, not an integer"),
+        (lambda: Coloring(2, (1, "2")), "vertex 1 has color '2', not an integer"),
         (lambda: Budget(max_nodes=-1), "node budget must be nonnegative, got -1"),
         (lambda: Budget(math.nan), "node budget must be nonnegative, got nan"),
         (lambda: Budget(max_seconds=-0.5), "time budget must be nonnegative seconds, got -0.5"),
@@ -152,6 +161,7 @@ def test_sequences_become_tuples():
         (lambda: VertexMap(K2, K2, (0,)), "map covers 1 vertices, source has 2"),
         (lambda: VertexMap(K2, K2, [0, 2]), "image 2 of vertex 1 outside target range"),
         (lambda: VertexMap(K2, K2, (-1, 0)), "image -1 of vertex 0 outside target range"),
+        (lambda: VertexMap(K2, K2, (0.0, 1)), "image 0.0 of vertex 0 is not an integer"),
         (lambda: BSpectrumReport({}, (), 0), "a b-spectrum report needs at least one witness"),
         (lambda: BSpectrumReport({2: C12}, {2, 3}, 3), "k in [2] witnessed and unknown"),
         (lambda: BSpectrumReport({3: C12}, (), 3), "the witness for k=3 is a 2-coloring"),
@@ -165,6 +175,8 @@ def test_sequences_become_tuples():
             lambda: SlsVerdict(CERT, reason="why"),
             "an SLS verdict with a certificate has no failing vertex or reason",
         ),
+        (lambda: SlsVerdict(), "an SLS verdict without a certificate needs a reason"),
+        (lambda: SlsVerdict(failing_vertex=1), "an SLS verdict without a certificate needs a reason"),
         (
             lambda: SearchResult(SearchStatus.FOUND),
             "a result carries a coloring exactly when its status is FOUND",
@@ -212,9 +224,19 @@ def test_equal_records_hash_equal():
 
 def test_records_hash_only_when_their_values_do():
     assert hash(SlsVerdict(failing_vertex=1, reason="why")) == hash(SlsVerdict(None, 1, "why"))
-    for record in (VertexMap(K2, K2, (1, 0)), CERT, SlsVerdict(CERT)):
+    assert hash(VertexMap(K2, K2, (1, 0))) == hash(VertexMap(complete_graph(2), K2, [1, 0]))
+    for record in (CERT, SlsVerdict(CERT)):
         with pytest.raises(TypeError):
             hash(record)
+
+
+def test_graph_copies_are_checked_and_labels_do_not_count():
+    unchecked = Graph._built(2, (0b10, 0))  # 1 is a neighbor of 0, but 0 is not one of 1
+    for restore in (lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy):
+        with pytest.raises(InputError, match="asymmetric adjacency between 1 and 0"):
+            restore(unchecked)
+    labelled = Graph(2, K2.adj, ("a", "b"))
+    assert labelled == K2 and hash(labelled) == hash(K2)
 
 
 @pytest.mark.parametrize("fields, cls, changed, text", RECORDS, ids=IDS)

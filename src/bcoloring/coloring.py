@@ -565,6 +565,8 @@ def find_colorful_coloring(g: Graph, k: int, budget: Budget | None = None) -> Se
     after two it is BUDGET_EXCEEDED under a 5 s budget. Pass a budget on
     such a graph: the default allows 600 s.
     """
+    if not isinstance(k, int):
+        raise InputError(f"k={k!r} is not an integer")
     if k < 1:
         raise InputError("k must be at least 1")
     n = g.n

@@ -16,14 +16,16 @@ class FileFormatError(InputError):
 
 
 class _Record:
-    """Immutable value record: its fields are its __slots__, in constructor order.
+    """Immutable value record, rebuilt by its constructor from its fields.
 
-    __init__ sets each field once; assignment and deletion then raise
-    AttributeError. Records compare and hash by the values of _key (every
-    field unless a subclass narrows it), so a record hashes only when those
-    values do: a VertexMap hashes, as its Graphs do, but an SlsCertificate
-    holds a dict and does not. Records repr as Name(field=value, ...), and
-    copy and pickle by calling the constructor with the fields again.
+    A record's fields are what _fields() returns, by default its __slots__
+    in constructor order; its other slots, if any, follow from them. __init__
+    sets each slot once; assignment and deletion then raise AttributeError.
+    Records compare and hash by the values of _key (the fields unless a
+    subclass narrows it), so a record hashes only when those values do: a
+    VertexMap hashes, as its Graphs do, but an SlsCertificate holds a dict
+    and does not. Records repr as Name(field=value, ...), and copy and
+    pickle by calling the constructor with the fields again.
     """
 
     __slots__ = ()
@@ -41,7 +43,8 @@ class _Record:
     def _fields(self):
         return tuple(getattr(self, name) for name in self.__slots__)
 
-    _key = _fields
+    def _key(self):
+        return self._fields()
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -47,14 +47,23 @@ def _first_meeting(adj, candidates, required):
     return None
 
 
+def _check_count(n):
+    """Refuse a vertex count that is not a nonnegative int, before it sizes anything."""
+    if not isinstance(n, int):
+        raise InputError(f"vertex count {n!r} is not an integer")
+    if n < 0:
+        raise InputError("vertex count must be nonnegative")
+
+
 class Graph(_Record):
     """Immutable simple undirected graph on vertices 0..n-1; a copy is checked again.
 
-    The constructor rejects self-loops, asymmetric adjacency and
-    out-of-range neighbors, so downstream algorithms can assume a clean
-    simple graph. ``labels`` is an optional display layer (one string per
-    vertex); no algorithm or equality test reads it. Files name vertices by
-    their labels, so each label is one field without whitespace, not "c", and unique.
+    The constructor rejects non-integer counts and rows, self-loops,
+    asymmetric adjacency and out-of-range neighbors, so downstream
+    algorithms can assume a clean simple graph. ``labels`` is an optional
+    display layer (one string per vertex); no algorithm or equality test
+    reads it. Files name vertices by their labels, so each label is one
+    field without whitespace, not "c", and unique.
 
     ``Graph(...)`` and ``graph_from_edges`` check all of this. ``read_col``,
     ``KneserGraph`` and ``complete_graph`` build through ``Graph._built``,
@@ -69,12 +78,13 @@ class Graph(_Record):
     labels: tuple[str, ...] | None
 
     def __init__(self, n: int, adj, labels=None):
-        if n < 0:
-            raise InputError("vertex count must be nonnegative")
+        _check_count(n)
         adj = tuple(adj)
         if len(adj) != n:
             raise InputError(f"expected {n} adjacency rows, got {len(adj)}")
         for v, row in enumerate(adj):
+            if not isinstance(row, int):
+                raise InputError(f"vertex {v} has adjacency row {row!r}, not an integer")
             if row < 0 or row >> n:
                 raise InputError(f"vertex {v} has a neighbor outside [0, {n})")
             if (row >> v) & 1:
@@ -99,6 +109,8 @@ class Graph(_Record):
         return g
 
     def check_vertex(self, v):
+        if not isinstance(v, int):
+            raise InputError(f"vertex {v!r} is not an integer")
         if not 0 <= v < self.n:
             raise InputError(f"vertex {v} out of range [0, {self.n})")
 
@@ -147,9 +159,12 @@ class Graph(_Record):
 
 def graph_from_edges(n: int, edges, labels=None) -> Graph:
     """Build a graph from unordered index pairs; duplicates collapse silently."""
+    _check_count(n)
     adj = [0] * n
     for edge in edges:
         u, v = edge
+        if not (isinstance(u, int) and isinstance(v, int)):
+            raise InputError(f"edge {edge!r} has an endpoint that is not an integer")
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
         adj[u] |= 1 << v
@@ -237,17 +252,20 @@ def is_bipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
 
 
 def complete_graph(k: int) -> Graph:
+    _check_count(k)
     full = (1 << k) - 1
     return Graph._built(k, [full ^ (1 << v) for v in range(k)])
 
 
 def cycle_graph(n: int) -> Graph:
+    _check_count(n)
     if n < 3:
         raise InputError("a cycle needs at least 3 vertices")
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path_graph(n: int) -> Graph:
+    _check_count(n)
     if n < 1:
         raise InputError("a path needs at least 1 vertex")
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])

@@ -73,7 +73,7 @@ class SlsCertificate(_Record):
     witness: dict[int, int]
 
     def __init__(self, witness: dict[int, int]):
-        super().__init__(witness)
+        super().__init__(dict(witness))
 
     def verify(self, f: VertexMap) -> bool:
         """True iff f is a homomorphism and every witness passes the rule that finds it."""
@@ -148,8 +148,9 @@ def kneser_step_hom(n: int, m: int) -> VertexMap:
     maximum; a subset containing both maps to (A minus {n+1, n+2}) plus
     the largest element of [n] outside A.
     """
-    from .kneser import kneser_graph
+    from .kneser import _check_integers, kneser_graph
 
+    _check_integers(n, m)
     if m < 1 or n <= 2 * m:
         raise InputError(f"step homomorphism needs n > 2m >= 2, got n={n}, m={m}")
     src = kneser_graph(n + 2, m + 1)

@@ -12,11 +12,18 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .errors import InputError
+from .errors import InputError, _Record
 from .graphs import MAX_VERTICES, Graph
 
 
+def _check_integers(n, m):
+    for name, value in (("n", n), ("m", m)):
+        if not isinstance(value, int):
+            raise InputError(f"Kneser parameter {name}={value!r} is not an integer")
+
+
 def _check_params(n, m):
+    _check_integers(n, m)
     if m < 1 or m > n:
         raise InputError(f"need 1 <= m <= n, got n={n}, m={m}")
 
@@ -26,9 +33,11 @@ def format_subset(members) -> str:
     return "{" + ",".join(str(x) for x in members) + "}"
 
 
-class KneserGraph:
+class KneserGraph(_Record):
     """KG(n, m) plus the label/index bijection used by files and the CLI.
 
+    A record of its fields (n, m), which ``graph``, ``subsets`` and the index
+    behind ``index_of`` follow from: equal, hashed and copied by (n, m) alone.
     n < 2m is permitted (the graph is then edgeless); only the chromatic
     formula restricts to n >= 2m.
     """
@@ -71,11 +80,11 @@ class KneserGraph:
             for x in s:
                 hit |= member[x]
             adj.append(everyone ^ hit)
-        self.n = n
-        self.m = m
-        self.subsets = subsets
-        self._index = index
-        self.graph = Graph._built(count, adj, [format_subset(s) for s in subsets])
+        graph = Graph._built(count, adj, [format_subset(s) for s in subsets])
+        super().__init__(n, m, graph, subsets, index)
+
+    def _fields(self):
+        return self.n, self.m
 
     def index_of(self, members) -> int:
         members = tuple(sorted(members))

@@ -1,4 +1,5 @@
-"""Graph and the seven result records: construction, checks, equality, immutability, copies, repr."""
+"""Graph, KneserGraph and the seven result records: construction, checks, equality,
+immutability, copies, repr; and the refusal of non-integer input across the public API."""
 
 import copy
 import math
@@ -7,9 +8,12 @@ import pickle
 import pytest
 
 from bcoloring.coloring import BSpectrumReport, Budget, Coloring, SearchResult, SearchStatus
+from bcoloring.coloring import find_colorful_coloring, is_b_dominating
 from bcoloring.errors import InputError
-from bcoloring.graphs import Graph, complete_graph
-from bcoloring.homomorphism import SlsCertificate, SlsVerdict, VertexMap
+from bcoloring.fixtures import petersen
+from bcoloring.graphs import Graph, complete_graph, cycle_graph, graph_from_edges, path_graph
+from bcoloring.homomorphism import SlsCertificate, SlsVerdict, VertexMap, kneser_step_hom
+from bcoloring.kneser import KneserGraph, kneser_graph, lovasz_chromatic
 
 K2 = complete_graph(2)
 C12 = Coloring(2, (1, 2))
@@ -64,6 +68,12 @@ RECORDS = [
         Graph,
         ("adj", (0, 0)),
         "Graph(n=2, edges=1)",
+    ),
+    (
+        {"n": 5, "m": 2},
+        KneserGraph,
+        ("m", 1),
+        "KneserGraph(5, 2)",
     ),
 ]
 IDS = [row[1].__name__ for row in RECORDS]
@@ -121,11 +131,21 @@ def test_spectrum_report_copies_its_witness_map():
     assert report.witnesses == {2: C12} and report.spectrum == {2}
 
 
+def test_sls_certificate_copies_its_witness_map():
+    swap = VertexMap(K2, K2, (1, 0))
+    witness = {0: 1, 1: 0}
+    certificate = SlsCertificate(witness)
+    assert certificate.verify(swap)
+    witness[0] = 0
+    assert certificate.witness == {0: 1, 1: 0} and certificate.verify(swap)
+
+
 @pytest.mark.parametrize(
     "record, names",
     [
         (BSpectrumReport({2: C12}, (), 2), ("chi", "b", "spectrum", "continuous")),
         (SlsVerdict(CERT), ("ok",)),
+        (kneser_graph(5, 2), ("graph", "subsets")),
     ],
 )
 def test_derived_values_cannot_be_assigned(record, names):
@@ -220,6 +240,7 @@ def test_equal_records_hash_equal():
         SearchResult(status=SearchStatus.FOUND, coloring=C12, nodes=3)
     )
     assert len({C12, Coloring(2, (1, 2)), Coloring(2, (2, 1))}) == 2
+    assert hash(kneser_graph(5, 2)) == hash(KneserGraph(n=5, m=2))
 
 
 def test_records_hash_only_when_their_values_do():
@@ -262,3 +283,35 @@ def test_copies_are_equal(fields, cls, changed, text):
 @pytest.mark.parametrize("fields, cls, changed, text", RECORDS, ids=IDS)
 def test_repr(fields, cls, changed, text):
     assert repr(cls(**fields)) == text
+
+
+# Each of these raised a TypeError or a ValueError, or returned a float (3.5, 3.0), before
+# counts, rows, vertices, Kneser parameters, k and complete-graph sizes were checked to be ints.
+NON_INTEGERS = [
+    (lambda: Graph(2.0, (2, 1)), "vertex count 2.0 is not an integer"),
+    (lambda: Graph(2, (2.0, 1)), "vertex 0 has adjacency row 2.0, not an integer"),
+    (lambda: Graph(2, ("2", 1)), "vertex 0 has adjacency row '2', not an integer"),
+    (lambda: graph_from_edges(2.0, ()), "vertex count 2.0 is not an integer"),
+    (lambda: graph_from_edges(2, [(0.0, 1)]), "edge (0.0, 1) has an endpoint that is not an integer"),
+    (lambda: cycle_graph("3"), "vertex count '3' is not an integer"),
+    (lambda: path_graph(2.5), "vertex count 2.5 is not an integer"),
+    (lambda: complete_graph(-1), "vertex count must be nonnegative"),
+    (lambda: complete_graph(2.5), "vertex count 2.5 is not an integer"),
+    (lambda: petersen().degree(1.5), "vertex 1.5 is not an integer"),
+    (lambda: is_b_dominating(K2, C12, 1.5), "vertex 1.5 is not an integer"),
+    (lambda: kneser_graph(5, 2).subset_of(1.0), "vertex 1.0 is not an integer"),
+    (lambda: lovasz_chromatic(7.5, 3), "Kneser parameter n=7.5 is not an integer"),
+    (lambda: lovasz_chromatic(7, 3.0), "Kneser parameter m=3.0 is not an integer"),
+    (lambda: kneser_graph(7.0, 3), "Kneser parameter n=7.0 is not an integer"),
+    (lambda: kneser_graph("7", 3), "Kneser parameter n='7' is not an integer"),
+    (lambda: kneser_step_hom(9.0, 4), "Kneser parameter n=9.0 is not an integer"),
+    (lambda: find_colorful_coloring(petersen(), 2.5), "k=2.5 is not an integer"),
+    (lambda: find_colorful_coloring(petersen(), "3"), "k='3' is not an integer"),
+]
+
+
+@pytest.mark.parametrize("make, message", NON_INTEGERS)
+def test_non_integers_are_input_errors(make, message):
+    with pytest.raises(InputError) as info:
+        make()
+    assert str(info.value) == message

@@ -1,7 +1,11 @@
 """Properties of the package source itself."""
 
 import ast
+from enum import Enum
 from pathlib import Path
+
+import bcoloring
+from bcoloring.errors import _Record
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bcoloring"
 
@@ -17,3 +21,12 @@ def test_source_holds_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/bcoloring: {found}"
+
+
+def test_public_classes_are_records_enums_or_errors():
+    # errors._Record alone defines immutability, equality, hashing and copying for public values.
+    public = [getattr(bcoloring, name) for name in bcoloring.__all__]
+    classes = [cls for cls in public if isinstance(cls, type)]
+    assert classes
+    loose = [cls.__name__ for cls in classes if not issubclass(cls, (_Record, Enum, Exception))]
+    assert not loose, f"public classes outside errors._Record: {loose}"

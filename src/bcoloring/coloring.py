@@ -108,11 +108,13 @@ class Budget(_Record):
     max_seconds: float | None
 
     def __init__(self, max_nodes: int | None = None, max_seconds: float | None = None):
-        # "not x >= 0" also rejects NaN, which no deadline comparison would end.
-        if max_nodes is not None and not max_nodes >= 0:
+        if max_nodes is not None and not isinstance(max_nodes, int):
+            raise InputError(f"node budget {max_nodes!r} is not an integer")
+        if max_nodes is not None and max_nodes < 0:
             raise InputError(f"node budget must be nonnegative, got {max_nodes}")
-        if max_seconds is not None and not max_seconds >= 0:
-            raise InputError(f"time budget must be nonnegative seconds, got {max_seconds}")
+        # "not x >= 0" also rejects NaN, which no deadline comparison would end.
+        if max_seconds is not None and not (isinstance(max_seconds, (int, float)) and max_seconds >= 0):
+            raise InputError(f"time budget must be nonnegative seconds, got {max_seconds!r}")
         super().__init__(max_nodes, max_seconds)
 
 
@@ -128,17 +130,18 @@ class SearchStatus(Enum):
 def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
     """(status, colors, nodes): colors 1..k for every vertex when FOUND, else None.
 
-    The graph is given as adj[v], the bit mask of v's neighbors.
-    The clique vertices take colors 1, 2, ... up front. With candidates,
-    the first k decisions choose the dominators: the ascending k-tuples of
-    candidates are walked as a prefix tree, in the order of
-    itertools.combinations, position j of the tuple taking color j+1 and
-    requiring every color on its closed neighborhood. Every later decision
-    colors the uncolored vertex with the fewest allowed colors, ties going
-    to the vertex in more dominator neighborhoods and then to the lower
-    index, and tries its allowed colors in ascending order. The chromatic
-    search never allows a color above one more than the largest in use; the
-    colorful one needs no such cap, as its dominators take all k colors.
+    The graph is given as adj[v], the bit mask of v's neighbors. The clique
+    vertices take colors 1, 2, ... up front, as the bottom entries of the
+    stack. With candidates, the first k decisions choose the dominators:
+    the ascending k-tuples of candidates are walked as a prefix tree, in
+    the order of itertools.combinations, position j of the tuple taking
+    color j+1 and requiring every color on its closed neighborhood. Every
+    later decision colors the uncolored vertex with the fewest allowed
+    colors, ties going to the vertex in more dominator neighborhoods and
+    then to the lower index, and tries its allowed colors in ascending
+    order. The chromatic search never allows a color above one more than
+    the largest in use; the colorful one needs no such cap, as its
+    dominators take all k colors.
 
     Without candidates (the chromatic search and its DSATUR bound) no
     vertex has a dominator, and the colors an uncolored vertex sees are
@@ -150,13 +153,7 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
     plane i holding bit i of each vertex's count (colored vertices are
     counted too, but never read); and the mask of uncolored vertices. A
     vertex that sees all k colors has the greatest saturation, so it is
-    chosen, and has no choice. When every uncolored vertex has saturation
-    0, the colored ones fill whole components and the least uncolored one
-    starts another, on which no decision so far bears and to which every
-    color is alike: the decision clears the stack and offers color 1
-    alone. So a later component that fails ends the search, which never
-    backtracks into the earlier ones. No step of that search loops over
-    vertices.
+    chosen, and has no choice. No step of that search loops over vertices.
 
     With candidates, the state is kept per vertex, and the closed
     neighborhoods are walked as tuples, made from adj once per call:
@@ -176,14 +173,33 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
     no placed dominator's neighborhood (dominators are colored), and so
     allows every color, while a frontier vertex sees a color and allows
     fewer. So the least key, and every vertex with no allowed color, lies
-    in the frontier when it is not empty. An empty frontier starts a new
-    component at its uncolored vertex of least index, color.index(0),
-    unless every vertex is colored: each decision on the stack colored one
-    vertex, so that is when they number n. The set's order does not
-    matter: the scan keeps the least (key, index), with the key (below)
-    read off allowed and len(doms[u]), which is one vertex in any order;
-    and a vertex with no allowed color ends the decision, which then
-    backtracks without coloring it, whichever such vertex is met first.
+    in the frontier when it is not empty; when it is empty, the uncolored
+    vertex of least index, color.index(0), starts a component (below). The
+    set's order does not matter: the scan keeps the least (key, index),
+    with the key (below) read off allowed and len(doms[u]), which is one
+    vertex in any order; and a vertex with no allowed color ends the
+    decision, which then backtracks without coloring it, whichever such
+    vertex is met first.
+
+    Both searches share one component rule and one end test. Each entry on
+    the stack colored one vertex, so every vertex is colored, and the
+    search ends FOUND, when they number n. A decision starts a component
+    when no earlier decision bears on its vertex: in the chromatic search
+    the vertex has saturation 0, and in the colorful one the frontier is
+    empty once the dominators are placed. Then every component with a
+    colored vertex is fully colored, so the new one holds no dominator and
+    meets no placed N[d]: its colorings are independent of every earlier
+    decision, and its colors are alike. The decision offers color 1 alone
+    and sets floor to its depth, and the search ends NOT_EXISTS when it
+    backtracks to floor: the component has no proper k-coloring, so neither
+    has the graph. So the search never backtracks past the start of a
+    component. floor starts at the clique's size, so the clique's entries
+    are never undone, and on a connected graph it stays there. The end test
+    comes before the dead test of the checks below: once every vertex is
+    colored, each placed dominator d keeps slack[d] >= 0 with no uncolored
+    vertex in N[d], so it misses no color and check 1 cannot have set dead;
+    and check 2 follows only a placement that another position follows,
+    which leaves a vertex uncolored.
 
     Two support checks cut branches early. A placed dominator d whose N[d]
     misses a color c needs an uncolored vertex of N[d] that can still take
@@ -358,21 +374,23 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
             color[v] = 0
             uncolored |= 1 << v
 
-    # The decisions above the current one, each as (v, bit, touched, untried
-    # choices, used before it), the first three as assign returned them and
-    # undo takes them: the choices are vertex bits for a dominator position,
-    # color bits otherwise.
+    # The clique's assignments, then the decisions above the current one,
+    # each as (v, bit, touched, untried choices, used before it), the first
+    # three as assign returned them and undo takes them: the choices are
+    # vertex bits for a dominator position, color bits otherwise.
     stack = []
     for i, v in enumerate(clique):
-        assign(v, 1 << i)
-    used = len(clique)  # the largest color in use
+        stack.append((v, 1 << i, assign(v, 1 << i), 0, i))
+    # used is the largest color in use, and floor the depth of the latest
+    # decision that started a component (the clique's size before one does).
+    used = floor = len(clique)
     cand_mask = sum(1 << v for v in candidates)
     last = len(candidates) - k  # position j takes candidates[:last + j + 1]
     while True:
         depth = len(stack)
+        if depth == n:
+            return SearchStatus.FOUND, color, nodes
         if not positions:
-            if not uncolored:
-                return SearchStatus.FOUND, color, nodes
             top = uncolored
             s = 0
             # No saturation exceeds used, so the planes from used's length up are empty.
@@ -387,8 +405,8 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
             # v sees s colors, all of them in use. When it sees every one,
             # only a fresh color is left, if any, and no bit test is needed,
             # as at every decision of the DSATUR bound on a clique.
-            if not s:  # v starts a component that nothing on the stack bears on
-                stack.clear()
+            if not s:  # v starts a component
+                floor = depth
                 choices = 1
             elif s == used:
                 choices = cap >> used << used
@@ -406,10 +424,8 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
         elif depth < positions:
             after = stack[-1][0] + 1 if depth else 0
             choices = cand_mask & -(1 << after) & ((2 << candidates[last + depth]) - 1)
-        elif not front:  # a new component, or none left
-            if depth == n:
-                return SearchStatus.FOUND, color, nodes
-            v, choices = color.index(0), full
+        elif not front:  # the least uncolored vertex starts a component
+            v, choices, floor = color.index(0), 1, depth
         else:
             v_key = inf
             for u in front:
@@ -436,7 +452,7 @@ def _backtrack(adj, k: int, budget: Budget, clique=(), candidates=()):
         # When the current decision has no choice left, go back to the
         # nearest decision above it that has one.
         while not choices:
-            if not stack:
+            if depth == floor:
                 return SearchStatus.NOT_EXISTS, None, nodes
             v, bit, touched, choices, used = stack.pop()
             undo(v, bit, touched)
@@ -559,11 +575,13 @@ def find_colorful_coloring(g: Graph, k: int, budget: Budget | None = None) -> Se
     color-permuted so its sorted witness tuple appears this way, so
     exhausting the tuples is a complete search.
 
-    On a disconnected graph the search can go back into components it has
-    already finished when a later one fails (ROADMAP item 11). At k = 3,
-    the Chvatal graph after one K_{5,5} is NOT_EXISTS in 372,296 nodes, and
-    after two it is BUDGET_EXCEEDED under a 5 s budget. Pass a budget on
-    such a graph: the default allows 600 s.
+    On a disconnected graph, a component that holds no dominator and has
+    no proper k-coloring ends the search at once: at k = 3, the Chvatal
+    graph after three K_{5,5} is NOT_EXISTS in 2,936 nodes. One that holds
+    a dominator still sends the search back through the components colored
+    beside it when it fails (ROADMAP item 11): after one K_{5,5} the same
+    query takes 372,296 nodes, and after two it is BUDGET_EXCEEDED under a
+    5 s budget. Pass a budget on such a graph: the default allows 600 s.
     """
     if not isinstance(k, int):
         raise InputError(f"k={k!r} is not an integer")

@@ -87,6 +87,14 @@ class KneserGraph(_Record):
         return self.n, self.m
 
     def index_of(self, members) -> int:
+        try:
+            members = tuple(members)
+        except TypeError:
+            raise InputError(f"{members!r} is not a {self.m}-subset of 1..{self.n}") from None
+        # Checked before sorting: (1.0, 2.0) would find (1, 2), and (1, "a") not sort.
+        for x in members:
+            if not isinstance(x, int):
+                raise InputError(f"subset member {x!r} is not an integer")
         members = tuple(sorted(members))
         try:
             return self._index[members]

@@ -441,6 +441,18 @@ def test_colorful_search_on_many_components():
     assert result.status is SearchStatus.FOUND and result.nodes == 9_997
 
 
+def test_colorful_search_ends_at_a_failing_fresh_component():
+    # Three copies of K_{5,5}, then the Chvatal graph (chi 4), as CI's split.col. A tuple
+    # that completes the copies has one dominator in each, so the Chvatal graph then starts
+    # a fresh component with no dominator, and it has no proper 3-coloring: the search ends
+    # there, without going back into the copies.
+    nx = pytest.importorskip("networkx")
+    union = nx.disjoint_union_all([nx.complete_bipartite_graph(5, 5)] * 3 + [nx.chvatal_graph()])
+    g = graph_from_edges(union.number_of_nodes(), list(union.edges()))
+    result = find_colorful_coloring(g, 3, Budget(max_nodes=100_000))
+    assert result.status is SearchStatus.NOT_EXISTS and result.nodes == 2_936
+
+
 def _grotzsch():
     # The Mycielskian of C5: 11 vertices of degrees 3, 4 and 5, chi 4.
     cycle = [(i, (i + 1) % 5) for i in range(5)]
@@ -601,9 +613,9 @@ _KERNEL_ROW_DIGESTS = {
     2: "97ec0e7683a954c43707d553426ebeaba5b058bc8ad73b4e2b7aa7712207559c",
     3: "c0abb6aef9811e701c3e6ed4fcf717b4c61d306ccb5ab376368ab1142f822796",
     4: "3b755b423cb63d573e743fb1d63f1b55b97214838eb706492dcda68b71877cba",
-    5: "7f7f5e8ea062ab55038edd286e88479270ba4bc702769280db26c324fe16dfad",
-    6: "5c43afbc1be9863838cc8cb97b53b8d541df3c3dc25db0fe48b9ed8b9ddab69a",
-    7: "8ed49939b3f95278016a03b8b3806ad9ef7f1d2362314620e79d776e335c9012",
+    5: "af488b6d5349331a1a14fe1bb65fd77257710adfe97632e57d44be82bdbbbc08",
+    6: "c8962e882f7e9bc6638158f5f63cb164ab1e6a9f5c65488e6a16506436606cc4",
+    7: "3a582e25a74d32dcc0d0dc8d8c150e7549609a92960aff5e34b970c5378e9ac9",
 }
 
 
@@ -618,4 +630,4 @@ def test_kernel_results_are_pinned_on_the_atlas(n):
 def test_kernel_results_are_pinned_on_random_graphs():
     # Larger than the atlas graphs, and a third of them disconnected.
     digest = hashlib.sha256("\n".join(random_kernel_rows()).encode()).hexdigest()
-    assert digest == "56f0eb7f8626be91c73a99fd13d682e819de344085b25cfa9ebe0d04c2033d38"
+    assert digest == "5c88c8faab352ec66b27802a4a17aa08df2da6ac4e1582f3dc7adf313f5f8c16"

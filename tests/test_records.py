@@ -175,7 +175,10 @@ def test_sequences_become_tuples():
         (lambda: Coloring(2, (1.0, 2)), "vertex 0 has color 1.0, not an integer"),
         (lambda: Coloring(2, (1, "2")), "vertex 1 has color '2', not an integer"),
         (lambda: Budget(max_nodes=-1), "node budget must be nonnegative, got -1"),
-        (lambda: Budget(math.nan), "node budget must be nonnegative, got nan"),
+        (lambda: Budget(math.nan), "node budget nan is not an integer"),
+        (lambda: Budget(max_nodes=2.5), "node budget 2.5 is not an integer"),
+        (lambda: Budget(max_nodes="5"), "node budget '5' is not an integer"),
+        (lambda: Budget(max_seconds="5"), "time budget must be nonnegative seconds, got '5'"),
         (lambda: Budget(max_seconds=-0.5), "time budget must be nonnegative seconds, got -0.5"),
         (lambda: Budget(None, math.nan), "time budget must be nonnegative seconds, got nan"),
         (lambda: VertexMap(K2, K2, (0,)), "map covers 1 vertices, source has 2"),
@@ -285,8 +288,9 @@ def test_repr(fields, cls, changed, text):
     assert repr(cls(**fields)) == text
 
 
-# Each of these raised a TypeError or a ValueError, or returned a float (3.5, 3.0), before
-# counts, rows, vertices, Kneser parameters, k and complete-graph sizes were checked to be ints.
+# Each of these raised a TypeError or a ValueError, or returned a float (3.5, 3.0) or the
+# index of (1, 2), before counts, rows, vertices, subset members, Kneser parameters, k and
+# complete-graph sizes were checked to be ints.
 NON_INTEGERS = [
     (lambda: Graph(2.0, (2, 1)), "vertex count 2.0 is not an integer"),
     (lambda: Graph(2, (2.0, 1)), "vertex 0 has adjacency row 2.0, not an integer"),
@@ -300,6 +304,10 @@ NON_INTEGERS = [
     (lambda: petersen().degree(1.5), "vertex 1.5 is not an integer"),
     (lambda: is_b_dominating(K2, C12, 1.5), "vertex 1.5 is not an integer"),
     (lambda: kneser_graph(5, 2).subset_of(1.0), "vertex 1.0 is not an integer"),
+    (lambda: kneser_graph(5, 2).index_of((1.0, 2.0)), "subset member 1.0 is not an integer"),
+    (lambda: kneser_graph(5, 2).index_of((1, "a")), "subset member 'a' is not an integer"),
+    (lambda: kneser_graph(5, 2).index_of(5), "5 is not a 2-subset of 1..5"),
+    (lambda: kneser_graph(5, 2).index_of(None), "None is not a 2-subset of 1..5"),
     (lambda: lovasz_chromatic(7.5, 3), "Kneser parameter n=7.5 is not an integer"),
     (lambda: lovasz_chromatic(7, 3.0), "Kneser parameter m=3.0 is not an integer"),
     (lambda: kneser_graph(7.0, 3), "Kneser parameter n=7.0 is not an integer"),

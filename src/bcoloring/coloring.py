@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from enum import Enum
 
-from .errors import FileFormatError, InputError, _Record
+from .errors import FileFormatError, InputError, _check_ints, _Record
 from .graphs import MAX_VERTICES, Graph, _first_meeting, _preimages, _read_fields, _read_header
 from .graphs import _read_vertex_records, _write_vertex_records, iter_bits
 
@@ -29,15 +29,8 @@ class Coloring(_Record):
 
     def __init__(self, k: int, colors):
         colors = tuple(colors)
-        if not isinstance(k, int):
-            raise InputError(f"color count {k!r} is not an integer")
-        if k < 0:
-            raise InputError("color count must be nonnegative")
-        for v, c in enumerate(colors):
-            if not isinstance(c, int):
-                raise InputError(f"vertex {v} has color {c!r}, not an integer")
-            if not 1 <= c <= k:
-                raise InputError(f"vertex {v} has color {c} outside 1..{k}")
+        _check_ints((k,), "color count", 0)
+        _check_ints(colors, lambda v: f"vertex {v}'s color", 1, k)
         super().__init__(k, colors)
 
 
@@ -49,14 +42,20 @@ def _require_total(g: Graph, c: Coloring):
 def is_proper(g: Graph, c: Coloring) -> bool:
     """True iff no edge is monochromatic."""
     _require_total(g, c)
-    masks = _preimages([col - 1 for col in c.colors], c.k)  # the color classes
-    return not any(row & masks[col - 1] for row, col in zip(g.adj, c.colors))
+    classes = [col - 1 for col in c.colors]
+    if c.k > g.n:  # number the colors present, at most n, so that k sizes nothing
+        index = {col: i for i, col in enumerate(set(classes))}
+        classes = [index[col] for col in classes]
+    masks = _preimages(classes, min(c.k, g.n))  # the color classes
+    return not any(row & masks[i] for row, i in zip(g.adj, classes))
 
 
 def is_b_dominating(g: Graph, c: Coloring, v: int) -> bool:
     """True iff every color 1..k appears on the closed neighborhood of v."""
     _require_total(g, c)
     g.check_vertex(v)
+    if c.k > g.n:  # a closed neighborhood holds at most n colors
+        return False
     seen = 1 << (c.colors[v] - 1)
     for u in iter_bits(g.adj[v]):
         seen |= 1 << (c.colors[u] - 1)
@@ -73,7 +72,7 @@ def is_colorful(g: Graph, c: Coloring) -> tuple[bool, dict[int, int] | None]:
     colorful exactly when that map is SLS, and the witness of class i is the
     certificate witness of K_k's vertex i-1.
     """
-    if not is_proper(g, c):
+    if not is_proper(g, c) or c.k > g.n:  # k > n leaves a class empty
         return False, None
     masks = _preimages([col - 1 for col in c.colors], c.k)
     witnesses = {}
@@ -108,10 +107,8 @@ class Budget(_Record):
     max_seconds: float | None
 
     def __init__(self, max_nodes: int | None = None, max_seconds: float | None = None):
-        if max_nodes is not None and not isinstance(max_nodes, int):
-            raise InputError(f"node budget {max_nodes!r} is not an integer")
-        if max_nodes is not None and max_nodes < 0:
-            raise InputError(f"node budget must be nonnegative, got {max_nodes}")
+        if max_nodes is not None:
+            _check_ints((max_nodes,), "node budget", 0)
         # "not x >= 0" also rejects NaN, which no deadline comparison would end.
         if max_seconds is not None and not (isinstance(max_seconds, (int, float)) and max_seconds >= 0):
             raise InputError(f"time budget must be nonnegative seconds, got {max_seconds!r}")
@@ -583,10 +580,7 @@ def find_colorful_coloring(g: Graph, k: int, budget: Budget | None = None) -> Se
     query takes 372,296 nodes, and after two it is BUDGET_EXCEEDED under a
     5 s budget. Pass a budget on such a graph: the default allows 600 s.
     """
-    if not isinstance(k, int):
-        raise InputError(f"k={k!r} is not an integer")
-    if k < 1:
-        raise InputError("k must be at least 1")
+    _check_ints((k,), "k =", 1)
     n = g.n
     candidates = [v for v in range(n) if g.adj[v].bit_count() >= k - 1]
     if len(candidates) < k:  # every k > n included

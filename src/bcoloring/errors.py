@@ -15,6 +15,28 @@ class FileFormatError(InputError):
         self.reason = message
 
 
+def _check_ints(values, what, lo=None, hi=None):
+    """Raise InputError for the first of values that is not an int in lo..hi.
+
+    values is a sequence; one value x is checked as (x,). A bound of None
+    leaves that end open, and a bool counts as an int. what names a value:
+    a string, or a function of its position in values. The loop calls
+    nothing but isinstance until a value fails; only then is what called
+    and the message built.
+    """
+    for x in values:
+        if not isinstance(x, int) or lo is not None and x < lo or hi is not None and x > hi:
+            if callable(what):  # a value that is x and comes earlier would have failed first
+                what = what(next(i for i, y in enumerate(values) if y is x))
+            if not isinstance(x, int):
+                raise InputError(f"{what} {x!r} is not an integer")
+            if hi is None:
+                raise InputError(f"{what} {x} is below {lo}")
+            if lo is None:
+                raise InputError(f"{what} {x} is above {hi}")
+            raise InputError(f"{what} {x} is outside {lo}..{hi}" + (", which is empty" if lo > hi else ""))
+
+
 class _Record:
     """Immutable value record, rebuilt by its constructor from its fields.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 
-from .errors import FileFormatError, InputError, _Record
+from .errors import FileFormatError, InputError, _check_ints, _Record
 
 INFINITE_GIRTH = math.inf
 
@@ -47,14 +47,6 @@ def _first_meeting(adj, candidates, required):
     return None
 
 
-def _check_count(n):
-    """Refuse a vertex count that is not a nonnegative int, before it sizes anything."""
-    if not isinstance(n, int):
-        raise InputError(f"vertex count {n!r} is not an integer")
-    if n < 0:
-        raise InputError("vertex count must be nonnegative")
-
-
 class Graph(_Record):
     """Immutable simple undirected graph on vertices 0..n-1; a copy is checked again.
 
@@ -78,13 +70,12 @@ class Graph(_Record):
     labels: tuple[str, ...] | None
 
     def __init__(self, n: int, adj, labels=None):
-        _check_count(n)
+        _check_ints((n,), "vertex count", 0)
         adj = tuple(adj)
         if len(adj) != n:
             raise InputError(f"expected {n} adjacency rows, got {len(adj)}")
+        _check_ints(adj, lambda v: f"vertex {v}'s adjacency row")
         for v, row in enumerate(adj):
-            if not isinstance(row, int):
-                raise InputError(f"vertex {v} has adjacency row {row!r}, not an integer")
             if row < 0 or row >> n:
                 raise InputError(f"vertex {v} has a neighbor outside [0, {n})")
             if (row >> v) & 1:
@@ -109,10 +100,7 @@ class Graph(_Record):
         return g
 
     def check_vertex(self, v):
-        if not isinstance(v, int):
-            raise InputError(f"vertex {v!r} is not an integer")
-        if not 0 <= v < self.n:
-            raise InputError(f"vertex {v} out of range [0, {self.n})")
+        _check_ints((v,), "vertex", 0, self.n - 1)
 
     def degree(self, v) -> int:
         self.check_vertex(v)
@@ -159,14 +147,18 @@ class Graph(_Record):
 
 def graph_from_edges(n: int, edges, labels=None) -> Graph:
     """Build a graph from unordered index pairs; duplicates collapse silently."""
-    _check_count(n)
-    adj = [0] * n
+    _check_ints((n,), "vertex count", 0)
+    ends = []
     for edge in edges:
-        u, v = edge
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise InputError(f"edge {edge!r} has an endpoint that is not an integer")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise InputError(f"edge {edge!r} is not a pair of vertices") from None
+        ends.append(u)
+        ends.append(v)
+    _check_ints(ends, lambda i: f"edge {tuple(ends[i - i % 2:][:2])}'s endpoint", 0, n - 1)
+    adj = [0] * n
+    for u, v in zip(ends[::2], ends[1::2]):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, adj, labels)
@@ -252,20 +244,20 @@ def is_bipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
 
 
 def complete_graph(k: int) -> Graph:
-    _check_count(k)
+    _check_ints((k,), "vertex count", 0)
     full = (1 << k) - 1
     return Graph._built(k, [full ^ (1 << v) for v in range(k)])
 
 
 def cycle_graph(n: int) -> Graph:
-    _check_count(n)
+    _check_ints((n,), "vertex count", 0)
     if n < 3:
         raise InputError("a cycle needs at least 3 vertices")
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path_graph(n: int) -> Graph:
-    _check_count(n)
+    _check_ints((n,), "vertex count", 0)
     if n < 1:
         raise InputError("a path needs at least 1 vertex")
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import InputError, _Record
+from .errors import InputError, _check_ints, _Record
 from .graphs import Graph, _first_meeting, _preimages, _read_fields, _read_header, _resolve_vertex
 from .graphs import _read_vertex_records, _write_vertex_records, complete_graph, iter_bits, read_col
 
@@ -36,11 +36,7 @@ class VertexMap(_Record):
         mapping = tuple(mapping)
         if len(mapping) != source.n:
             raise InputError(f"map covers {len(mapping)} vertices, source has {source.n}")
-        for v, image in enumerate(mapping):
-            if not isinstance(image, int):
-                raise InputError(f"image {image!r} of vertex {v} is not an integer")
-            if not 0 <= image < target.n:
-                raise InputError(f"image {image} of vertex {v} outside target range")
+        _check_ints(mapping, lambda v: f"vertex {v}'s image", 0, target.n - 1)
         super().__init__(source, target, mapping)
 
     def __call__(self, v: int) -> int:
@@ -148,11 +144,10 @@ def kneser_step_hom(n: int, m: int) -> VertexMap:
     maximum; a subset containing both maps to (A minus {n+1, n+2}) plus
     the largest element of [n] outside A.
     """
-    from .kneser import _check_integers, kneser_graph
+    from .kneser import kneser_graph
 
-    _check_integers(n, m)
-    if m < 1 or n <= 2 * m:
-        raise InputError(f"step homomorphism needs n > 2m >= 2, got n={n}, m={m}")
+    _check_ints((n,), "Kneser parameter n =")
+    _check_ints((m,), "Kneser parameter m =", 1, (n - 1) // 2)  # n > 2m
     src = kneser_graph(n + 2, m + 1)
     tgt = kneser_graph(n, m)
     mapping = []
@@ -193,10 +188,9 @@ def coloring_as_hom(g: Graph, c: Coloring) -> VertexMap:
 
     if not is_proper(g, c):
         raise InputError("coloring is not proper")
-    used = set(c.colors)
-    if used != set(range(1, c.k + 1)):
-        missing = sorted(set(range(1, c.k + 1)) - used)
-        raise InputError(f"color classes {missing} are empty; map would not be surjective")
+    empty = c.k - len(set(c.colors))  # the colors lie in 1..k
+    if empty:
+        raise InputError(f"{empty} of {c.k} color classes are empty; map would not be surjective")
     return VertexMap(g, complete_graph(c.k), tuple(col - 1 for col in c.colors))
 
 

@@ -12,20 +12,13 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .errors import InputError, _Record
+from .errors import InputError, _check_ints, _Record
 from .graphs import MAX_VERTICES, Graph
 
 
-def _check_integers(n, m):
-    for name, value in (("n", n), ("m", m)):
-        if not isinstance(value, int):
-            raise InputError(f"Kneser parameter {name}={value!r} is not an integer")
-
-
 def _check_params(n, m):
-    _check_integers(n, m)
-    if m < 1 or m > n:
-        raise InputError(f"need 1 <= m <= n, got n={n}, m={m}")
+    _check_ints((n,), "Kneser parameter n =")
+    _check_ints((m,), "Kneser parameter m =", 1, n)
 
 
 def format_subset(members) -> str:
@@ -92,9 +85,7 @@ class KneserGraph(_Record):
         except TypeError:
             raise InputError(f"{members!r} is not a {self.m}-subset of 1..{self.n}") from None
         # Checked before sorting: (1.0, 2.0) would find (1, 2), and (1, "a") not sort.
-        for x in members:
-            if not isinstance(x, int):
-                raise InputError(f"subset member {x!r} is not an integer")
+        _check_ints(members, "subset member")
         members = tuple(sorted(members))
         try:
             return self._index[members]

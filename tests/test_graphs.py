@@ -68,7 +68,7 @@ def test_constructor_rejects_asymmetry_and_bad_bits():
         Graph(1, [0b1])
     with pytest.raises(InputError, match="expected 2 adjacency rows"):
         Graph(2, [0])
-    with pytest.raises(InputError, match="nonnegative"):
+    with pytest.raises(InputError, match="^vertex count -1 is below 0$"):
         Graph(-1, [])
     with pytest.raises(InputError, match="expected 2 labels"):
         Graph(2, [0, 0], ["a"])

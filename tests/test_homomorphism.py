@@ -1,10 +1,18 @@
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcoloring.coloring import Coloring, chromatic_number, find_colorful_coloring, is_colorful
+from bcoloring.coloring import (
+    Coloring,
+    chromatic_number,
+    find_colorful_coloring,
+    is_b_dominating,
+    is_colorful,
+    is_proper,
+)
 from bcoloring.errors import InputError
 from bcoloring.fixtures import petersen, q3
 from bcoloring.graphs import complete_graph, cycle_graph, graph_from_edges, path_graph
@@ -350,6 +358,25 @@ def test_coloring_as_hom_rejects_bad_input():
         coloring_as_hom(graph_from_edges(2, []), Coloring(3, (1, 2)))
     with pytest.raises(InputError, match="complete"):
         hom_as_coloring(VertexMap(complete_graph(2), path_graph(3), (0, 1)))
+
+
+def test_a_color_count_above_the_vertex_count_sizes_nothing():
+    # Classes are numbered over the colors present, at most n, and a k above n is answered
+    # before any class is built; a mask per color 1..k would take hundreds of MB here.
+    k2, c = complete_graph(2), Coloring(10**7, (1, 2))
+    tracemalloc.start()
+    try:
+        assert is_proper(k2, c)
+        assert is_colorful(k2, c) == (False, None)
+        assert not is_b_dominating(k2, c, 0)
+        with pytest.raises(InputError) as info:
+            coloring_as_hom(k2, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert str(info.value) == "9999998 of 10000000 color classes are empty; map would not be surjective"
+    assert not is_proper(k2, Coloring(10**7, (5, 5)))
 
 
 def test_q3_colorful_four_coloring_gives_sls_map():

@@ -167,14 +167,34 @@ def test_sequences_become_tuples():
 
 @pytest.mark.parametrize(
     "make, message",
+    # A row given an id keeps the name it had before its message took the one
+    # wording of errors._check_ints; the id is the message it pinned then.
     [
-        (lambda: Coloring(-1, ()), "color count must be nonnegative"),
-        (lambda: Coloring(2, (1, 3)), "vertex 1 has color 3 outside 1..2"),
-        (lambda: Coloring(2, [0]), "vertex 0 has color 0 outside 1..2"),
+        pytest.param(
+            lambda: Coloring(-1, ()), "color count -1 is below 0",
+            id="<lambda>-color count must be nonnegative",
+        ),
+        pytest.param(
+            lambda: Coloring(2, (1, 3)), "vertex 1's color 3 is outside 1..2",
+            id="<lambda>-vertex 1 has color 3 outside 1..2",
+        ),
+        pytest.param(
+            lambda: Coloring(2, [0]), "vertex 0's color 0 is outside 1..2",
+            id="<lambda>-vertex 0 has color 0 outside 1..2",
+        ),
         (lambda: Coloring(2.0, (1, 2)), "color count 2.0 is not an integer"),
-        (lambda: Coloring(2, (1.0, 2)), "vertex 0 has color 1.0, not an integer"),
-        (lambda: Coloring(2, (1, "2")), "vertex 1 has color '2', not an integer"),
-        (lambda: Budget(max_nodes=-1), "node budget must be nonnegative, got -1"),
+        pytest.param(
+            lambda: Coloring(2, (1.0, 2)), "vertex 0's color 1.0 is not an integer",
+            id="<lambda>-vertex 0 has color 1.0, not an integer",
+        ),
+        pytest.param(
+            lambda: Coloring(2, (1, "2")), "vertex 1's color '2' is not an integer",
+            id="<lambda>-vertex 1 has color '2', not an integer",
+        ),
+        pytest.param(
+            lambda: Budget(max_nodes=-1), "node budget -1 is below 0",
+            id="<lambda>-node budget must be nonnegative, got -1",
+        ),
         (lambda: Budget(math.nan), "node budget nan is not an integer"),
         (lambda: Budget(max_nodes=2.5), "node budget 2.5 is not an integer"),
         (lambda: Budget(max_nodes="5"), "node budget '5' is not an integer"),
@@ -182,9 +202,18 @@ def test_sequences_become_tuples():
         (lambda: Budget(max_seconds=-0.5), "time budget must be nonnegative seconds, got -0.5"),
         (lambda: Budget(None, math.nan), "time budget must be nonnegative seconds, got nan"),
         (lambda: VertexMap(K2, K2, (0,)), "map covers 1 vertices, source has 2"),
-        (lambda: VertexMap(K2, K2, [0, 2]), "image 2 of vertex 1 outside target range"),
-        (lambda: VertexMap(K2, K2, (-1, 0)), "image -1 of vertex 0 outside target range"),
-        (lambda: VertexMap(K2, K2, (0.0, 1)), "image 0.0 of vertex 0 is not an integer"),
+        pytest.param(
+            lambda: VertexMap(K2, K2, [0, 2]), "vertex 1's image 2 is outside 0..1",
+            id="<lambda>-image 2 of vertex 1 outside target range",
+        ),
+        pytest.param(
+            lambda: VertexMap(K2, K2, (-1, 0)), "vertex 0's image -1 is outside 0..1",
+            id="<lambda>-image -1 of vertex 0 outside target range",
+        ),
+        pytest.param(
+            lambda: VertexMap(K2, K2, (0.0, 1)), "vertex 0's image 0.0 is not an integer",
+            id="<lambda>-image 0.0 of vertex 0 is not an integer",
+        ),
         (lambda: BSpectrumReport({}, (), 0), "a b-spectrum report needs at least one witness"),
         (lambda: BSpectrumReport({2: C12}, {2, 3}, 3), "k in [2] witnessed and unknown"),
         (lambda: BSpectrumReport({3: C12}, (), 3), "the witness for k=3 is a 2-coloring"),
@@ -290,16 +319,32 @@ def test_repr(fields, cls, changed, text):
 
 # Each of these raised a TypeError or a ValueError, or returned a float (3.5, 3.0) or the
 # index of (1, 2), before counts, rows, vertices, subset members, Kneser parameters, k and
-# complete-graph sizes were checked to be ints.
+# complete-graph sizes were checked to be ints, and edges to be pairs. Ids as in
+# test_invalid_fields_are_input_errors.
 NON_INTEGERS = [
     (lambda: Graph(2.0, (2, 1)), "vertex count 2.0 is not an integer"),
-    (lambda: Graph(2, (2.0, 1)), "vertex 0 has adjacency row 2.0, not an integer"),
-    (lambda: Graph(2, ("2", 1)), "vertex 0 has adjacency row '2', not an integer"),
+    pytest.param(
+        lambda: Graph(2, (2.0, 1)), "vertex 0's adjacency row 2.0 is not an integer",
+        id="<lambda>-vertex 0 has adjacency row 2.0, not an integer",
+    ),
+    pytest.param(
+        lambda: Graph(2, ("2", 1)), "vertex 0's adjacency row '2' is not an integer",
+        id="<lambda>-vertex 0 has adjacency row '2', not an integer",
+    ),
     (lambda: graph_from_edges(2.0, ()), "vertex count 2.0 is not an integer"),
-    (lambda: graph_from_edges(2, [(0.0, 1)]), "edge (0.0, 1) has an endpoint that is not an integer"),
+    pytest.param(
+        lambda: graph_from_edges(2, [(0.0, 1)]), "edge (0.0, 1)'s endpoint 0.0 is not an integer",
+        id="<lambda>-edge (0.0, 1) has an endpoint that is not an integer",
+    ),
+    (lambda: graph_from_edges(3, [(0, 1, 2)]), "edge (0, 1, 2) is not a pair of vertices"),
+    (lambda: graph_from_edges(3, [(0,)]), "edge (0,) is not a pair of vertices"),
+    (lambda: graph_from_edges(3, [5]), "edge 5 is not a pair of vertices"),
     (lambda: cycle_graph("3"), "vertex count '3' is not an integer"),
     (lambda: path_graph(2.5), "vertex count 2.5 is not an integer"),
-    (lambda: complete_graph(-1), "vertex count must be nonnegative"),
+    pytest.param(
+        lambda: complete_graph(-1), "vertex count -1 is below 0",
+        id="<lambda>-vertex count must be nonnegative",
+    ),
     (lambda: complete_graph(2.5), "vertex count 2.5 is not an integer"),
     (lambda: petersen().degree(1.5), "vertex 1.5 is not an integer"),
     (lambda: is_b_dominating(K2, C12, 1.5), "vertex 1.5 is not an integer"),
@@ -308,13 +353,34 @@ NON_INTEGERS = [
     (lambda: kneser_graph(5, 2).index_of((1, "a")), "subset member 'a' is not an integer"),
     (lambda: kneser_graph(5, 2).index_of(5), "5 is not a 2-subset of 1..5"),
     (lambda: kneser_graph(5, 2).index_of(None), "None is not a 2-subset of 1..5"),
-    (lambda: lovasz_chromatic(7.5, 3), "Kneser parameter n=7.5 is not an integer"),
-    (lambda: lovasz_chromatic(7, 3.0), "Kneser parameter m=3.0 is not an integer"),
-    (lambda: kneser_graph(7.0, 3), "Kneser parameter n=7.0 is not an integer"),
-    (lambda: kneser_graph("7", 3), "Kneser parameter n='7' is not an integer"),
-    (lambda: kneser_step_hom(9.0, 4), "Kneser parameter n=9.0 is not an integer"),
-    (lambda: find_colorful_coloring(petersen(), 2.5), "k=2.5 is not an integer"),
-    (lambda: find_colorful_coloring(petersen(), "3"), "k='3' is not an integer"),
+    pytest.param(
+        lambda: lovasz_chromatic(7.5, 3), "Kneser parameter n = 7.5 is not an integer",
+        id="<lambda>-Kneser parameter n=7.5 is not an integer",
+    ),
+    pytest.param(
+        lambda: lovasz_chromatic(7, 3.0), "Kneser parameter m = 3.0 is not an integer",
+        id="<lambda>-Kneser parameter m=3.0 is not an integer",
+    ),
+    pytest.param(
+        lambda: kneser_graph(7.0, 3), "Kneser parameter n = 7.0 is not an integer",
+        id="<lambda>-Kneser parameter n=7.0 is not an integer",
+    ),
+    pytest.param(
+        lambda: kneser_graph("7", 3), "Kneser parameter n = '7' is not an integer",
+        id="<lambda>-Kneser parameter n='7' is not an integer",
+    ),
+    pytest.param(
+        lambda: kneser_step_hom(9.0, 4), "Kneser parameter n = 9.0 is not an integer",
+        id="<lambda>-Kneser parameter n=9.0 is not an integer",
+    ),
+    pytest.param(
+        lambda: find_colorful_coloring(petersen(), 2.5), "k = 2.5 is not an integer",
+        id="<lambda>-k=2.5 is not an integer",
+    ),
+    pytest.param(
+        lambda: find_colorful_coloring(petersen(), "3"), "k = '3' is not an integer",
+        id="<lambda>-k='3' is not an integer",
+    ),
 ]
 
 
